@@ -3,10 +3,13 @@
 
 GO ?= go
 
-.PHONY: build test race lint lint-json lint-only lint-fixtures lint-suppressions fuzz-smoke bench-smoke check
+.PHONY: build vet test race lint lint-json lint-only lint-fixtures lint-suppressions lint-inventory fuzz-smoke bench-smoke check
 
 build:
 	$(GO) build ./...
+
+vet:
+	$(GO) vet ./...
 
 test:
 	$(GO) test ./...
@@ -44,6 +47,11 @@ lint-fixtures:
 lint-suppressions:
 	$(GO) run ./cmd/wearlint -suppressions > LINT_SUPPRESSIONS.json
 
+# CI's suppression-inventory gate: a fresh scan must match the committed
+# LINT_SUPPRESSIONS.json byte for byte.
+lint-inventory:
+	$(GO) run ./cmd/wearlint -suppressions | diff -u LINT_SUPPRESSIONS.json -
+
 # Run the native fuzz targets over their seed corpus only (no mutation):
 # the mme/proxylog codec fuzzers, the collection-path parsers (httplog
 # FuzzReadHead, sni FuzzReadClientHello), the wearlint suppression
@@ -65,4 +73,4 @@ bench-smoke:
 	$(GO) run ./cmd/wearbench -small -bench-json -bench-baseline 'BENCH_*.json' -o BENCH.json
 	@cat BENCH.json
 
-check: build lint lint-fixtures race fuzz-smoke
+check: build vet lint lint-fixtures lint-inventory race fuzz-smoke

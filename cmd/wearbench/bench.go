@@ -18,10 +18,10 @@ import (
 )
 
 // BenchReport is the machine-readable output of -bench-json: wall-clock
-// and allocation figures for the generate and study phases plus each
-// per-figure analysis, and the determinism cross-check between the
-// sequential (Workers=1) and parallel pipelines. CI commits one of these
-// as the tracked baseline and fails the bench-smoke job on regression.
+// and allocation figures for the generate and study phases, and the
+// determinism cross-check between the sequential (Workers=1) and parallel
+// pipelines. CI commits one of these as the tracked baseline and fails
+// the bench-smoke job on regression.
 type BenchReport struct {
 	Schema     int    `json:"schema"`
 	Seed       uint64 `json:"seed"`
@@ -43,9 +43,9 @@ type BenchReport struct {
 	SpeedupGenerate    float64              `json:"speedup_generate"`
 	GenerateSweep      []GenerateSweepEntry `json:"generate_sweep"`
 	StudySeqMs         float64              `json:"study_sequential_ms"`
-	StudySeqAllocBytes uint64  `json:"study_sequential_alloc_bytes"`
-	StudyParMs         float64 `json:"study_parallel_ms"`
-	StudyParAllocBytes uint64  `json:"study_parallel_alloc_bytes"`
+	StudySeqAllocBytes uint64               `json:"study_sequential_alloc_bytes"`
+	StudyParMs         float64              `json:"study_parallel_ms"`
+	StudyParAllocBytes uint64               `json:"study_parallel_alloc_bytes"`
 	// StudyPeakHeapBytes is the highest heap occupancy (HeapAlloc) sampled
 	// while the parallel study ran: the figure the bounded-memory contract
 	// gates on, as opposed to the cumulative TotalAlloc deltas above.
@@ -60,8 +60,6 @@ type BenchReport struct {
 	// Deterministic records whether the sequential and parallel Results
 	// serialised to identical JSON.
 	Deterministic bool `json:"deterministic"`
-
-	Figures map[string]float64 `json:"figure_ms"`
 
 	MetricsPass  int `json:"metrics_pass"`
 	MetricsTotal int `json:"metrics_total"`
@@ -148,7 +146,6 @@ func runBenchJSON(out io.Writer, cfg wearwild.Config, seed uint64, small bool, w
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Workers:    workers,
-		Figures:    map[string]float64{},
 	}
 
 	// Generator sweep: the shard-and-merge generator is byte-identical
@@ -226,31 +223,6 @@ func runBenchJSON(out io.Writer, cfg wearwild.Config, seed uint64, small bool, w
 		return err
 	}
 	rep.Deterministic = string(seqJSON) == string(parJSON)
-
-	study, err := core.NewStudy(ds, parCfg)
-	if err != nil {
-		return err
-	}
-	figures := []struct {
-		name string
-		fn   func()
-	}{
-		{"fig2a_adoption", func() { study.ComputeFig2a() }},
-		{"fig2b_retention", func() { study.ComputeFig2b() }},
-		{"fig3a_hourly", func() { study.ComputeFig3a() }},
-		{"fig3b_activity", func() { study.ComputeFig3b() }},
-		{"fig3c_transactions", func() { study.ComputeFig3c() }},
-		{"fig3d_coupling", func() { study.ComputeFig3d() }},
-		{"fig4a_owners_vs_rest", func() { study.ComputeFig4a() }},
-		{"fig4b_device_share", func() { study.ComputeFig4b() }},
-		{"fig4c_mobility", func() { study.ComputeFig4c() }},
-		{"fig5_8_apps", func() { study.ComputeAppFigures() }},
-		{"through_device", func() { study.ComputeThroughDevice() }},
-	}
-	for _, f := range figures {
-		ms, _, _ := timed(func() error { f.fn(); return nil })
-		rep.Figures[f.name] = ms
-	}
 
 	for _, e := range wearwild.Evaluate(parRes) {
 		for _, m := range e.Metrics {
@@ -360,9 +332,8 @@ func resolveBaseline(path string, rep *BenchReport) (string, error) {
 // checkBaseline fails when a timing regressed more than 2x against the
 // committed baseline, or when study peak heap or generator allocations
 // grew past the same 2x bar (the bounded-memory and slab-discipline
-// contracts). Only the end-to-end phases gate: per-figure timings are
-// informational (too noisy at -small scale on shared CI). Baselines
-// predating a gated field record zero and skip that gate.
+// contracts). Baselines predating a gated field record zero and skip
+// that gate.
 func checkBaseline(rep *BenchReport, path string) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {

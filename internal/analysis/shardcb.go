@@ -7,9 +7,9 @@ import (
 )
 
 // Shard-callback discovery, shared by shardpure and floatfold: find
-// every function body that the shard runtime (internal/shard Run, Map,
-// ForChunked) executes on worker goroutines, together with the call
-// chain that registered it. A callback reaches the runtime either
+// every function body that the shard runtime (internal/shard Run, Map)
+// executes on worker goroutines, together with the call chain that
+// registered it. A callback reaches the runtime either
 // directly — a literal or named function passed at the call site — or
 // through a forwarding wrapper: a module function that hands one of its
 // own func-typed parameters to a shard entry point (or to another such
@@ -46,7 +46,7 @@ func isShardEntry(mod *Module, fn *types.Func) bool {
 		return false
 	}
 	switch fn.Name() {
-	case "Run", "Map", "ForChunked":
+	case "Run", "Map":
 		return true
 	}
 	return false

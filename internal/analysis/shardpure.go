@@ -6,10 +6,10 @@ import (
 
 // ShardpureAnalyzer enforces DESIGN.md §7's callback-purity contract on
 // every callback the shard runtime executes concurrently: a callback
-// passed to shard.Run / shard.Map / shard.ForChunked — directly or
-// through a forwarding wrapper — may write captured shared state only
-// through the fixed-slot pattern (results[i] = ..., indexed by its own
-// parameter or a local derived from it) or while holding a mutex.
+// passed to shard.Run / shard.Map — directly or through a forwarding
+// wrapper — may write captured shared state only through the fixed-slot
+// pattern (results[i] = ..., indexed by its own parameter or a local
+// derived from it) or while holding a mutex.
 // Everything else a worker writes races or smears: captured map
 // inserts, append to a shared slice, bare scalar accumulation, and
 // shared-slice writes whose index reaches outside the callback.

@@ -61,10 +61,10 @@ func FixedSlot() []int {
 // still the callback's own state.
 func DerivedSlot() []int {
 	out := make([]int, 8)
-	shard.ForChunked(8, 2, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = i
-		}
+	shard.Run(4, 2, func(i int) {
+		lo := 2 * i
+		out[lo] = i
+		out[lo+1] = i
 	})
 	return out
 }

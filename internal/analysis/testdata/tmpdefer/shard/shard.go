@@ -10,13 +10,6 @@ func Run(n, workers int, fn func(i int)) {
 	}
 }
 
-// ForChunked executes fn over index chunks.
-func ForChunked(n, workers int, fn func(lo, hi int)) {
-	if n > 0 {
-		fn(0, n)
-	}
-}
-
 // Map runs fn per shard and collects the per-index results.
 func Map[S, R any](shards []S, workers int, fn func(i int, s S) R) []R {
 	out := make([]R, len(shards))

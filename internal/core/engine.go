@@ -83,9 +83,9 @@ func newEngine(env Env, cfg Config) (*engine, error) {
 	return e, nil
 }
 
-// shardOf routes a subscriber to their shard: the same pure IMSI hash the
-// resident pipeline partitioned with, so shard populations are identical
-// across sources, machines and worker counts.
+// shardOf routes a subscriber to their shard by a pure IMSI hash, so
+// shard populations are identical across sources, machines and worker
+// counts.
 func (e *engine) shardOf(user subs.IMSI) int {
 	return int(shard.Hash64(uint64(user)) % uint64(e.nShards))
 }
@@ -130,25 +130,64 @@ func (e *engine) userDone(si int, user subs.IMSI) {
 	delete(e.pending[si], user)
 }
 
-// directSink feeds the engine synchronously: the Workers <= 1 path.
-type directSink struct{ e *engine }
+// userOrder enforces the stream.Sink user-major contract where records
+// enter the engine, before any routing, so the check is the same at every
+// Workers setting: after UserDone(u), a record or a further UserDone for
+// any IMSI <= u is an error instead of a second bundle for u. floor is the
+// lowest IMSI still open, so the check is one comparison per record and
+// no per-user state. Record-major sources never call UserDone and never
+// trip it.
+type userOrder struct{ floor subs.IMSI }
 
-func (s directSink) Proxy(r proxylog.Record) error {
+func (o *userOrder) check(what string, user subs.IMSI) error {
+	if user < o.floor {
+		return fmt.Errorf("core: stream contract violated: %s for subscriber %d after UserDone(%d)", what, user, o.floor-1)
+	}
+	return nil
+}
+
+func (o *userOrder) done(user subs.IMSI) error {
+	if err := o.check("UserDone", user); err != nil {
+		return err
+	}
+	o.floor = user + 1
+	return nil
+}
+
+// directSink feeds the engine synchronously: the Workers <= 1 path.
+type directSink struct {
+	e     *engine
+	order userOrder
+}
+
+func (s *directSink) Proxy(r proxylog.Record) error {
+	if err := s.order.check("proxy record", r.IMSI); err != nil {
+		return err
+	}
 	s.e.proxy(s.e.shardOf(r.IMSI), r)
 	return nil
 }
 
-func (s directSink) MME(r mme.Record) error {
+func (s *directSink) MME(r mme.Record) error {
+	if err := s.order.check("MME record", r.IMSI); err != nil {
+		return err
+	}
 	s.e.mme(s.e.shardOf(r.IMSI), r)
 	return nil
 }
 
-func (s directSink) UDR(r udr.Record) error {
+func (s *directSink) UDR(r udr.Record) error {
+	if err := s.order.check("UDR record", r.IMSI); err != nil {
+		return err
+	}
 	s.e.udr(s.e.shardOf(r.IMSI), r)
 	return nil
 }
 
-func (s directSink) UserDone(user subs.IMSI) error {
+func (s *directSink) UserDone(user subs.IMSI) error {
+	if err := s.order.done(user); err != nil {
+		return err
+	}
 	s.e.userDone(s.e.shardOf(user), user)
 	return nil
 }
@@ -171,6 +210,7 @@ type fanSink struct {
 	e       *engine
 	workers int
 	chans   []chan shardMsg
+	order   userOrder
 }
 
 func (s *fanSink) send(m shardMsg) error {
@@ -180,18 +220,30 @@ func (s *fanSink) send(m shardMsg) error {
 }
 
 func (s *fanSink) Proxy(r proxylog.Record) error {
+	if err := s.order.check("proxy record", r.IMSI); err != nil {
+		return err
+	}
 	return s.send(shardMsg{kind: 0, si: s.e.shardOf(r.IMSI), proxy: r})
 }
 
 func (s *fanSink) MME(r mme.Record) error {
+	if err := s.order.check("MME record", r.IMSI); err != nil {
+		return err
+	}
 	return s.send(shardMsg{kind: 1, si: s.e.shardOf(r.IMSI), mme: r})
 }
 
 func (s *fanSink) UDR(r udr.Record) error {
+	if err := s.order.check("UDR record", r.IMSI); err != nil {
+		return err
+	}
 	return s.send(shardMsg{kind: 2, si: s.e.shardOf(r.IMSI), udr: r})
 }
 
 func (s *fanSink) UserDone(user subs.IMSI) error {
+	if err := s.order.done(user); err != nil {
+		return err
+	}
 	return s.send(shardMsg{kind: 3, si: s.e.shardOf(user), user: user})
 }
 
@@ -217,7 +269,7 @@ func (e *engine) consume(src stream.Source) error {
 		w = e.nShards
 	}
 	if w <= 1 {
-		return src.Stream(directSink{e})
+		return src.Stream(&directSink{e: e})
 	}
 	sink := &fanSink{e: e, workers: w, chans: make([]chan shardMsg, w)}
 	var wg sync.WaitGroup
@@ -280,8 +332,8 @@ func (e *engine) run(src stream.Source) (*Results, error) {
 }
 
 // RunStream executes the full analysis over any record stream — generator,
-// decoded log files, or a live proxy tail — without ever materialising a
-// whole log. Results are identical at every Workers and Shards setting,
+// decoded log files or resident logs — without ever materialising a whole
+// log. Results are identical at every Workers and Shards setting,
 // and identical for any source emitting the same records.
 func RunStream(env Env, src stream.Source, cfg Config) (*Results, error) {
 	cfg = cfg.withDefaults()

@@ -46,7 +46,7 @@ func (c Config) withDefaults() Config {
 // record slices: Run streams the dataset's logs through the bounded-memory
 // engine, which materialises at most one subscriber's records at a time.
 // Datasets too large to sit in memory skip Study entirely and feed
-// RunStream from a decoder or live tail.
+// RunStream from a decoder.
 type Study struct {
 	ds  *sim.Dataset
 	cfg Config
@@ -59,8 +59,7 @@ func NewStudy(ds *sim.Dataset, cfg Config) (*Study, error) {
 	}
 	cfg = cfg.withDefaults()
 	s := &Study{ds: ds, cfg: cfg}
-	// Validate the environment now so the per-figure entry points have no
-	// error path.
+	// Validate the environment now rather than on the first Run.
 	if _, err := newEngine(s.env(), cfg); err != nil {
 		return nil, err
 	}
@@ -82,22 +81,6 @@ func (s *Study) source() stream.Source {
 // independent and byte-identical.
 func (s *Study) Run() (*Results, error) {
 	return RunStream(s.env(), s.source(), s.cfg)
-}
-
-// runAll executes the engine without the empty-population guard, for the
-// per-figure wrappers whose signatures carry no error. The environment was
-// validated by NewStudy and resident sources cannot fail mid-stream, so
-// the remaining error paths are unreachable.
-func (s *Study) runAll() *Results {
-	e, err := newEngine(s.env(), s.cfg)
-	if err != nil {
-		panic(err)
-	}
-	res, err := e.run(s.source())
-	if err != nil {
-		panic(err)
-	}
-	return res
 }
 
 // detailWeeks is the number of weeks in the detail window.

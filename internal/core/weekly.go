@@ -27,9 +27,3 @@ type WeekRow struct {
 	Tx          int64
 	Bytes       int64
 }
-
-// ComputeWeeklyTrend derives the weekly stability analysis from the
-// wearable proxy records.
-func (s *Study) ComputeWeeklyTrend() WeeklyTrend {
-	return s.runAll().Weekly
-}

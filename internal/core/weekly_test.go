@@ -8,12 +8,8 @@ import (
 )
 
 func TestWeeklyTrend(t *testing.T) {
-	ds, _ := results(t) // shared pipeline run
-	study, err := NewStudy(ds, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	trend := study.ComputeWeeklyTrend()
+	_, res := results(t) // shared Study.Run
+	trend := res.Weekly
 
 	if len(trend.Weeks) != simtime.DetailWeeks {
 		t.Fatalf("weeks = %d, want %d", len(trend.Weeks), simtime.DetailWeeks)

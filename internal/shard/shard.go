@@ -85,25 +85,11 @@ func Partition[T any](items []T, shards int, key func(T) uint64) [][]T {
 }
 
 // Run executes fn(i) for i in [0, n) on a bounded worker pool. Indexes
-// are handed out in order but completion order is unspecified; callers
+// are handed out in contiguous chunks, one channel operation per chunk
+// instead of one per index, but completion order is unspecified; callers
 // must write results into per-index slots so output stays deterministic
 // regardless of scheduling.
 func Run(n, workers int, fn func(i int)) {
-	ForChunked(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
-// ForChunked executes fn(lo, hi) over contiguous index ranges covering
-// [0, n) on a bounded worker pool: one channel operation per chunk
-// instead of one per index, which matters for fine-grained loop bodies.
-// Chunk boundaries depend only on n and the resolved worker count's
-// chunk budget — and since every index is visited exactly once and
-// callers write per-index slots, the chunking itself is invisible in the
-// output.
-func ForChunked(n, workers int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -112,7 +98,9 @@ func ForChunked(n, workers int, fn func(lo, hi int)) {
 		workers = n
 	}
 	if workers <= 1 {
-		fn(0, n)
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
 		return
 	}
 	// Over-partition so uneven chunks rebalance across the pool, but
@@ -130,11 +118,10 @@ func ForChunked(n, workers int, fn func(lo, hi int)) {
 		go func() {
 			defer wg.Done()
 			for lo := range next {
-				hi := lo + size
-				if hi > n {
-					hi = n
+				hi := min(lo+size, n)
+				for i := lo; i < hi; i++ {
+					fn(i)
 				}
-				fn(lo, hi)
 			}
 		}()
 	}
@@ -152,23 +139,5 @@ func Map[S, R any](shards []S, workers int, fn func(i int, s S) R) []R {
 	Run(len(shards), workers, func(i int) {
 		out[i] = fn(i, shards[i])
 	})
-	return out
-}
-
-// MergeMaps unions per-shard maps whose key sets are disjoint (the
-// guarantee Partition gives per-key aggregations). Iteration order over
-// the parts does not matter because no key appears twice; the result is
-// exactly the map a sequential pass would have built.
-func MergeMaps[K comparable, V any](parts []map[K]V) map[K]V {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make(map[K]V, total)
-	for _, p := range parts {
-		for k, v := range p {
-			out[k] = v
-		}
-	}
 	return out
 }

@@ -61,20 +61,18 @@ func TestPartitionDeterministic(t *testing.T) {
 	}
 }
 
-// TestForChunkedCoversEveryIndexOnce at several worker counts, including
+// TestRunCoversEveryIndexOnce at several worker counts, including
 // workers > n and n == 0.
-func TestForChunkedCoversEveryIndexOnce(t *testing.T) {
+func TestRunCoversEveryIndexOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 7, 1000} {
 		for _, workers := range []int{0, 1, 2, 8, 2000} {
 			hits := make([]int32, n)
-			ForChunked(n, workers, func(lo, hi int) {
-				if lo < 0 || hi > n || lo >= hi {
-					t.Errorf("n=%d workers=%d: bad range [%d,%d)", n, workers, lo, hi)
+			Run(n, workers, func(i int) {
+				if i < 0 || i >= n {
+					t.Errorf("n=%d workers=%d: index %d out of range", n, workers, i)
 					return
 				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
+				atomic.AddInt32(&hits[i], 1)
 			})
 			for i, h := range hits {
 				if h != 1 {
@@ -107,22 +105,6 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: got %v, want %v", workers, got, want)
 		}
-	}
-}
-
-// TestMergeMapsDisjointUnion rebuilds the map a sequential pass would
-// have produced.
-func TestMergeMapsDisjointUnion(t *testing.T) {
-	parts := []map[string]int{
-		{"a": 1, "b": 2},
-		{},
-		{"c": 3},
-		{"d": 4, "e": 5},
-	}
-	got := MergeMaps(parts)
-	want := map[string]int{"a": 1, "b": 2, "c": 3, "d": 4, "e": 5}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("got %v, want %v", got, want)
 	}
 }
 

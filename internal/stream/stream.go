@@ -1,9 +1,9 @@
 // Package stream defines the single record-stream interface the study
 // engine consumes: one callback per proxy, MME and UDR record, plus a
 // per-subscriber completion hint. Every data source — the traffic
-// generator, the binary/CSV log decoders, the resident in-memory logs and
-// the live proxy tail — implements Source, so the engine never needs a
-// materialised whole log.
+// generator, the binary/CSV log decoders and the resident in-memory logs
+// — implements Source, so the engine never needs a materialised whole
+// log.
 package stream
 
 import (
@@ -20,10 +20,14 @@ import (
 // arrive on any of the three feeds. User-major sources (the generator,
 // the resident log source) call it right after a subscriber's records, so
 // the consumer can fold and evict that subscriber's state immediately;
-// record-major sources (file decoders, the live tail) never call it and
-// the consumer evicts everything when Stream returns. User-major sources
-// must emit subscribers in ascending IMSI order — the equivalence suite
-// pins cross-source byte-identity on top of that contract.
+// record-major sources (the file decoders) never call it and the consumer
+// evicts everything when Stream returns. User-major sources must emit
+// subscribers in ascending IMSI order — the equivalence suite pins
+// cross-source byte-identity on top of that contract.
+//
+// The study engine enforces the contract: once UserDone(u) has arrived,
+// any record or further UserDone for an IMSI <= u is an error that aborts
+// the stream, rather than a second fold of the same subscriber.
 type Sink interface {
 	Proxy(rec proxylog.Record) error
 	MME(rec mme.Record) error

@@ -161,61 +161,3 @@ func TestReadersRoundTrip(t *testing.T) {
 		t.Fatalf("decoded stream:\n got %v\nwant %v", sink.events, want)
 	}
 }
-
-// TestTailDrains pins the live-tail adapter: records fed before Close
-// drain in order, Stream returns cleanly after Close, and Close is
-// idempotent.
-func TestTailDrains(t *testing.T) {
-	tail := NewTail(8)
-	for i := 0; i < 3; i++ {
-		tail.Feed(proxylog.Record{Time: at(i), IMSI: 9, Host: fmt.Sprintf("h%d", i)})
-	}
-	tail.Close()
-	tail.Close() // idempotent
-	sink := &traceSink{}
-	if err := tail.Stream(sink); err != nil {
-		t.Fatal(err)
-	}
-	want := []event{{"proxy", 9, "h0"}, {"proxy", 9, "h1"}, {"proxy", 9, "h2"}}
-	if !reflect.DeepEqual(sink.events, want) {
-		t.Fatalf("tail replay:\n got %v\nwant %v", sink.events, want)
-	}
-}
-
-// TestTailSinkErrorAborts: a failing consumer stops the drain with the
-// sink's error even when more records are buffered.
-func TestTailSinkErrorAborts(t *testing.T) {
-	tail := NewTail(4)
-	tail.Feed(proxylog.Record{Time: at(0), IMSI: 9, Host: "x"})
-	tail.Feed(proxylog.Record{Time: at(1), IMSI: 9, Host: "y"})
-	tail.Close()
-	sink := &traceSink{failAt: 1}
-	if err := tail.Stream(sink); err != errSink {
-		t.Fatalf("got %v, want errSink", err)
-	}
-}
-
-// TestTailConcurrentFeed runs producer and consumer concurrently through
-// a 1-slot buffer: backpressure must not deadlock, and order holds.
-func TestTailConcurrentFeed(t *testing.T) {
-	tail := NewTail(1)
-	const n = 100
-	go func() {
-		for i := 0; i < n; i++ {
-			tail.Feed(proxylog.Record{Time: at(i), IMSI: subs.IMSI(i % 5), Host: fmt.Sprintf("h%d", i)})
-		}
-		tail.Close()
-	}()
-	sink := &traceSink{}
-	if err := tail.Stream(sink); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.events) != n {
-		t.Fatalf("got %d events, want %d", len(sink.events), n)
-	}
-	for i, e := range sink.events {
-		if e.tag != fmt.Sprintf("h%d", i) {
-			t.Fatalf("event %d out of order: %v", i, e)
-		}
-	}
-}

@@ -3,101 +3,81 @@ package plancost
 import (
 	"math"
 	"testing"
-	"time"
 
 	"wearwild/internal/gen/apps"
-	"wearwild/internal/mnet/imei"
-	"wearwild/internal/mnet/proxylog"
-	"wearwild/internal/mnet/subs"
-	"wearwild/internal/study/appid"
 )
 
-func testRecords(t *testing.T) (*appid.Resolver, []proxylog.Record) {
-	t.Helper()
-	catalog := apps.Default()
-	resolver := appid.NewResolver(catalog)
-	t0 := time.Date(2018, 4, 2, 10, 0, 0, 0, time.UTC)
-	user := subs.MustNew(1)
-	dev := imei.MustNew(35332011, 1)
-	rec := func(day int, host string, bytes int64) proxylog.Record {
-		return proxylog.Record{
-			Time: t0.AddDate(0, 0, day), IMSI: user, IMEI: dev,
-			Scheme: proxylog.HTTPS, Host: host,
-			BytesUp: bytes / 4, BytesDown: bytes - bytes/4,
-		}
-	}
-	ad := catalog.SharedHosts(apps.KindAdvertising)[0]
-	ana := catalog.SharedHosts(apps.KindAnalytics)[0]
-	records := []proxylog.Record{
-		rec(0, "api.weather.app", 7000), // first party
-		rec(1, ad, 2000),
-		rec(2, ana, 1000),
-	}
-	return resolver, records
+// testKinds is one user's raw per-kind bytes over the window: 7000 bytes
+// of first-party traffic, 2000 of advertising and 1000 of analytics.
+func testKinds() *[apps.NumDomainKinds]int64 {
+	var k [apps.NumDomainKinds]int64
+	k[apps.KindApplication] = 7000
+	k[apps.KindAdvertising] = 2000
+	k[apps.KindAnalytics] = 1000
+	return &k
 }
 
 func TestAnalyze(t *testing.T) {
-	resolver, records := testRecords(t)
 	// 3 days of observation, a 1 MB plan for easy numbers.
-	rep, err := Analyze(resolver, records, 3, 1<<20)
+	b, err := NewBuilder(3, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Users) != 1 {
-		t.Fatalf("users = %d", len(rep.Users))
-	}
-	uc := rep.Users[0]
+	b.AddUser(testKinds())
+	rep := b.Report()
 	// Overhead = (2000+1000)/10000 of the traffic.
-	if math.Abs(uc.OverheadShare-0.3) > 1e-9 {
-		t.Fatalf("overhead share = %g", uc.OverheadShare)
+	if math.Abs(rep.MeanOverheadShare-0.3) > 1e-9 {
+		t.Fatalf("overhead share = %g", rep.MeanOverheadShare)
 	}
 	// Monthly overhead = 3000 * 30.44/3 = 30440 bytes of a 1 MiB plan.
 	wantPlan := 3000.0 * (30.44 / 3) / (1 << 20)
-	if math.Abs(uc.PlanShare-wantPlan) > 1e-9 {
-		t.Fatalf("plan share = %g, want %g", uc.PlanShare, wantPlan)
-	}
 	if math.Abs(rep.MeanPlanSharePct-100*wantPlan) > 1e-9 {
-		t.Fatalf("mean plan pct = %g", rep.MeanPlanSharePct)
+		t.Fatalf("mean plan pct = %g, want %g", rep.MeanPlanSharePct, 100*wantPlan)
 	}
 	if rep.MaxPlanSharePct != rep.MeanPlanSharePct {
 		t.Fatal("single user: max must equal mean")
 	}
+
+	// A second user with no overhead halves the means but not the max.
+	var clean [apps.NumDomainKinds]int64
+	clean[apps.KindApplication] = 500
+	b, _ = NewBuilder(3, 1<<20)
+	b.AddUser(testKinds())
+	b.AddUser(&clean)
+	two := b.Report()
+	if math.Abs(two.MeanOverheadShare-0.15) > 1e-9 {
+		t.Fatalf("two-user overhead share = %g", two.MeanOverheadShare)
+	}
+	if two.MaxPlanSharePct != rep.MaxPlanSharePct {
+		t.Fatalf("two-user max = %g, want %g", two.MaxPlanSharePct, rep.MaxPlanSharePct)
+	}
 }
 
 func TestAnalyzeDefaults(t *testing.T) {
-	resolver, records := testRecords(t)
-	rep, err := Analyze(resolver, records, 3, 0)
+	b, err := NewBuilder(3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.PlanBytes != DefaultPlanBytes {
+	if rep := b.Report(); rep.PlanBytes != DefaultPlanBytes {
 		t.Fatalf("plan = %g", rep.PlanBytes)
 	}
 }
 
 func TestAnalyzeErrors(t *testing.T) {
-	resolver, records := testRecords(t)
-	if _, err := Analyze(nil, records, 3, 0); err == nil {
-		t.Fatal("nil resolver accepted")
-	}
-	if _, err := Analyze(resolver, records, 0, 0); err == nil {
+	if _, err := NewBuilder(0, 0); err == nil {
 		t.Fatal("zero window accepted")
 	}
-	rep, err := Analyze(resolver, nil, 3, 0)
-	if err != nil || len(rep.Users) != 0 {
-		t.Fatal("empty records mishandled")
+	// No users, and a user with no traffic at all: the report stays zero.
+	b, err := NewBuilder(3, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestWindowDaysOf(t *testing.T) {
-	_, records := testRecords(t)
-	if got := WindowDaysOf(records); got != 3 {
-		t.Fatalf("window days = %d", got)
+	if rep := b.Report(); rep.MeanOverheadShare != 0 || rep.MeanPlanSharePct != 0 || rep.MaxPlanSharePct != 0 {
+		t.Fatalf("empty report = %+v", rep)
 	}
-	if got := WindowDaysOf(nil); got != 1 {
-		t.Fatalf("empty window = %d", got)
-	}
-	if got := WindowDaysOf(records[:1]); got != 1 {
-		t.Fatalf("single-record window = %d", got)
+	b, _ = NewBuilder(3, 0)
+	b.AddUser(new([apps.NumDomainKinds]int64))
+	if rep := b.Report(); rep.MeanOverheadShare != 0 || rep.MaxPlanSharePct != 0 {
+		t.Fatalf("silent-user report = %+v", rep)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"wearwild/internal/mnet/imei"
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/subs"
-	"wearwild/internal/shard"
 )
 
 // DefaultGap is the paper's one-minute usage boundary.
@@ -54,36 +53,6 @@ func (u *Usage) Hosts() []string {
 // Sessionize groups records into usages per (subscriber, device). Records
 // need not be pre-sorted. gap <= 0 selects DefaultGap.
 func Sessionize(records []proxylog.Record, gap time.Duration) []Usage {
-	out := sessionizeOne(records, gap)
-	sortUsages(out)
-	return out
-}
-
-// SessionizeSharded reconstructs usages from pre-partitioned record
-// shards on a bounded worker pool. The shards must partition subscribers
-// (every record of one IMSI in one shard, as shard.Partition by IMSI
-// guarantees); each shard then sees exactly the per-device runs a
-// sequential pass would, and the final total-order sort makes the output
-// identical to Sessionize over the concatenation — at any worker or
-// shard count.
-func SessionizeSharded(shards [][]proxylog.Record, gap time.Duration, workers int) []Usage {
-	parts := shard.Map(shards, workers, func(_ int, recs []proxylog.Record) []Usage {
-		return sessionizeOne(recs, gap)
-	})
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]Usage, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	sortUsages(out)
-	return out
-}
-
-// sessionizeOne builds the unordered usage list of one record set.
-func sessionizeOne(records []proxylog.Record, gap time.Duration) []Usage {
 	if gap <= 0 {
 		gap = DefaultGap
 	}
@@ -115,6 +84,7 @@ func sessionizeOne(records []proxylog.Record, gap time.Duration) []Usage {
 			}
 		}
 	}
+	sortUsages(out)
 	return out
 }
 
