@@ -54,7 +54,8 @@ lint-inventory:
 
 # Run the native fuzz targets over their seed corpus only (no mutation):
 # the mme/proxylog codec fuzzers, the collection-path parsers (httplog
-# FuzzReadHead, sni FuzzReadClientHello), the wearlint suppression
+# FuzzReadHead, sni FuzzReadClientHello), the nearest-sector index against
+# its brute-force oracle (cells FuzzNearest), the wearlint suppression
 # grammar (FuzzIgnoreDirective, FuzzSuppressionInventory), and the randx
 # Split derivation (FuzzSplitLabel).
 fuzz-smoke:

@@ -8,8 +8,9 @@ import (
 )
 
 // goldenResultsSHA256 is the sha256 of json.Marshal(Results) for the
-// SmallConfig(42) dataset studied at Workers=1.
-const goldenResultsSHA256 = "dfb56543c6f677b539eecdea334029e64d786cb6b6576a5ccc5d27ea1ac2306e"
+// SmallConfig(42) dataset studied at Workers=1, generated with the exact
+// nearest-sector lookup (the sector NearestLinear returns for every move).
+const goldenResultsSHA256 = "ae419c20650fbecdd53427122a6651610994bf413038f28ccd3d6a7bad9015f7"
 
 // TestGoldenFingerprints pins the study's output across commits: the
 // Results JSON of the shared equivalence dataset must hash to the

@@ -114,32 +114,34 @@ func (g *Generator) DayVisits(u *population.User, d simtime.Day, r *randx.Rand) 
 func (g *Generator) AppendDayVisits(dst []Visit, u *population.User, d simtime.Day, r *randx.Rand) []Visit {
 	day := d.Time()
 	base := len(dst)
-	dst = append(dst, g.visitAt(day, 5, u.Home)) // midnight-ish at home
+	// Midnight-ish at home. The anchors' sectors come from the user, not
+	// a fresh lookup: Nearest is pure, so they are the same IDs.
+	dst = append(dst, Visit{Time: day.Add(5 * time.Minute), Sector: u.HomeSector, Pos: u.Home})
 
 	if !d.IsWeekend() && u.Employed {
 		// Morning commute, departures peaking 7–9 (Fig 3(a) bump).
 		leave := (6.5 + 2*r.Float64()) * 60
-		dst = g.appendCommuteLeg(dst, u.Home, u.Work, leave, day, r)
+		dst = g.appendCommuteLeg(dst, u.Home, u.Work, u.WorkSector, leave, day, r)
 		// Optional midday errand near work.
 		if r.Bool(poissonAsProb(g.cfg.LeisureTripMeanWeekday * engagementScale(u))) {
-			dst = g.appendTrip(dst, u, u.Work, (12+2*r.Float64())*60, day, r)
+			dst = g.appendTrip(dst, u, u.Work, u.WorkSector, (12+2*r.Float64())*60, day, r)
 		}
 		// Evening commute, 4–8pm window.
 		back := (16.5 + 2.5*r.Float64()) * 60
-		dst = g.appendCommuteLeg(dst, u.Work, u.Home, back, day, r)
+		dst = g.appendCommuteLeg(dst, u.Work, u.Home, u.HomeSector, back, day, r)
 	} else if !d.IsWeekend() {
 		// Non-commuters: occasional daytime leisure trips from home.
 		trips := r.Poisson(g.cfg.LeisureTripMeanWeekday * 1.5 * engagementScale(u))
 		start := 9 * 60.0
 		for i := 0; i < trips && start < 20*60; i++ {
-			dst = g.appendTrip(dst, u, u.Home, start, day, r)
+			dst = g.appendTrip(dst, u, u.Home, u.HomeSector, start, day, r)
 			start += (2 + 3*r.Float64()) * 60
 		}
 	} else {
 		trips := r.Poisson(g.cfg.LeisureTripMeanWeekend * engagementScale(u))
 		start := 10 * 60.0
 		for i := 0; i < trips && start < 20*60; i++ {
-			dst = g.appendTrip(dst, u, u.Home, start, day, r)
+			dst = g.appendTrip(dst, u, u.Home, u.HomeSector, start, day, r)
 			start += (2 + 3*r.Float64()) * 60
 		}
 	}
@@ -149,7 +151,7 @@ func (g *Generator) AppendDayVisits(dst []Visit, u *population.User, d simtime.D
 	// movement scale.
 	if r.Bool(g.cfg.LongTripProb * math.Min(engagementScale(u), 2)) {
 		dist := r.Pareto(g.cfg.LongTripKmMin, g.cfg.LongTripAlpha)
-		dst = g.appendExcursion(dst, u.Home, dist, (10+4*r.Float64())*60, day, r)
+		dst = g.appendExcursion(dst, u.Home, u.HomeSector, dist, (10+4*r.Float64())*60, day, r)
 	}
 
 	// Late-evening legs must not bleed into the next day: a visit carries
@@ -162,15 +164,6 @@ func (g *Generator) AppendDayVisits(dst []Visit, u *population.User, d simtime.D
 	}
 
 	return canonicalizeTail(dst, base)
-}
-
-// visitAt places the user at a position a number of minutes into the day.
-func (g *Generator) visitAt(day time.Time, minutes float64, pos geo.Point) Visit {
-	return Visit{
-		Time:   day.Add(time.Duration(minutes * float64(time.Minute))),
-		Sector: g.topo.Nearest(pos),
-		Pos:    pos,
-	}
 }
 
 // engagementScale couples trip counts to the user's latent engagement,
@@ -190,9 +183,10 @@ func engagementScale(u *population.User) float64 {
 func poissonAsProb(mean float64) float64 { return 1 - math.Exp(-mean) }
 
 // appendCommuteLeg emits the intermediate and final sectors of one commute
-// leg departing at the given minute of day. The stop count is known before
-// the loop, so dst grows at most once.
-func (g *Generator) appendCommuteLeg(dst []Visit, from, to geo.Point, departMin float64, day time.Time, r *randx.Rand) []Visit {
+// leg departing at the given minute of day; toSector is the sector of the
+// destination anchor. The stop count is known before the loop, so dst grows
+// at most once.
+func (g *Generator) appendCommuteLeg(dst []Visit, from, to geo.Point, toSector cells.SectorID, departMin float64, day time.Time, r *randx.Rand) []Visit {
 	dist := geo.DistanceKm(from, to)
 	stops := int(dist / 8)
 	if stops > g.cfg.MaxCommuteStops {
@@ -212,7 +206,7 @@ func (g *Generator) appendCommuteLeg(dst []Visit, from, to geo.Point, departMin 
 	}
 	return append(dst, Visit{
 		Time:   day.Add(time.Duration((departMin + legMinutes) * float64(time.Minute))),
-		Sector: g.topo.Nearest(to),
+		Sector: toSector,
 		Pos:    to,
 	})
 }
@@ -226,20 +220,21 @@ func interpolate(a, b geo.Point, f float64) geo.Point {
 }
 
 // appendTrip goes somewhere near the anchor and comes back.
-func (g *Generator) appendTrip(dst []Visit, u *population.User, anchor geo.Point, startMin float64, day time.Time, r *randx.Rand) []Visit {
+func (g *Generator) appendTrip(dst []Visit, u *population.User, anchor geo.Point, anchorSector cells.SectorID, startMin float64, day time.Time, r *randx.Rand) []Visit {
 	dist := r.LogNormalMedian(g.cfg.TripKmMedian, g.cfg.TripKmSigma) * math.Max(u.MobilityScale, 0.3)
-	return g.appendExcursion(dst, anchor, dist, startMin, day, r)
+	return g.appendExcursion(dst, anchor, anchorSector, dist, startMin, day, r)
 }
 
-// appendExcursion visits a point dist km away and returns to the anchor.
-func (g *Generator) appendExcursion(dst []Visit, anchor geo.Point, dist, startMin float64, day time.Time, r *randx.Rand) []Visit {
+// appendExcursion visits a point dist km away and returns to the anchor in
+// anchorSector.
+func (g *Generator) appendExcursion(dst []Visit, anchor geo.Point, anchorSector cells.SectorID, dist, startMin float64, day time.Time, r *randx.Rand) []Visit {
 	angle := r.Float64() * 2 * math.Pi
 	dest := geo.Offset(anchor, dist*math.Cos(angle), dist*math.Sin(angle))
 	stay := 30 + 90*r.Float64() // minutes
 	travel := 10 + dist
 	return append(dst,
 		Visit{Time: day.Add(time.Duration((startMin + travel) * float64(time.Minute))), Sector: g.topo.Nearest(dest), Pos: dest},
-		Visit{Time: day.Add(time.Duration((startMin + travel + stay) * float64(time.Minute))), Sector: g.topo.Nearest(anchor), Pos: anchor},
+		Visit{Time: day.Add(time.Duration((startMin + travel + stay) * float64(time.Minute))), Sector: anchorSector, Pos: anchor},
 	)
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"testing"
 
 	"wearwild/internal/mnet/mme"
@@ -101,16 +102,22 @@ func TestGenerateParallelEquivalence(t *testing.T) {
 			}
 		}
 	}
-	// The global sorts are stable and the stream is user-major in the
-	// same ascending-user tie order the batch merge uses, so sorting
-	// the collected stream must land exactly on the batch dataset.
+	// The stream is user-major in ascending user order, so a stable
+	// global sort of the collected stream is the oracle for the batch
+	// k-way merge: the two must land on the same bytes.
 	ds := &Dataset{MME: first.mme, Proxy: first.proxy, UDR: first.udr}
-	ds.MME.SortByTime()
-	ds.Proxy.SortByTime()
-	ds.UDR.Sort()
+	sortLogs(ds)
 	if got := datasetHash(t, ds); got != ref {
 		t.Errorf("stream-collected dataset hash %s, want batch hash %s", got, ref)
 	}
+}
+
+// sortLogs puts whole logs into canonical order by sorting, the definition
+// Generate's k-way merge must reproduce.
+func sortLogs(ds *Dataset) {
+	slices.SortStableFunc(ds.MME.Records, func(a, b mme.Record) int { return a.Time.Compare(b.Time) })
+	slices.SortStableFunc(ds.Proxy.Records, func(a, b proxylog.Record) int { return a.Time.Compare(b.Time) })
+	slices.SortStableFunc(ds.UDR.Records, udr.Compare)
 }
 
 // BenchmarkGenerateParallel measures the shard-and-merge batch path per

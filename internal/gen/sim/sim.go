@@ -164,8 +164,9 @@ func generateSubstrate(cfg Config) (*Dataset, error) {
 // Generate builds the dataset. The population is partitioned into fixed
 // splitmix64 IMSI shards (the same partition for any worker count), each
 // shard's subscribers are generated on a bounded pool over one reusable
-// scratch, and the per-shard runs merge back in ascending subscriber
-// order — so the dataset is byte-identical for any Workers setting.
+// scratch and put in their canonical per-user order, and the per-user runs
+// k-way merge into the logs — so the dataset is byte-identical for any
+// Workers setting.
 func Generate(cfg Config) (*Dataset, error) {
 	ds, err := generateSubstrate(cfg)
 	if err != nil {
@@ -187,21 +188,18 @@ func Generate(cfg Config) (*Dataset, error) {
 		outs := make([]userOutput, len(part))
 		for k, ui := range part {
 			gen.genUser(ui, s)
+			s.sortCanonical()
 			outs[k] = s.output()
 		}
 		return outs
 	})
 	ds.mergeRuns(parts, runs, len(users))
-
-	ds.MME.SortByTime()
-	ds.Proxy.SortByTime()
-	ds.UDR.Sort()
 	return ds, nil
 }
 
-// userOutput collects one user's generated records; the sharded sweep
-// fills one slot per subscriber and the merge concatenates them in
-// subscriber order, so the dataset is identical for any worker count.
+// userOutput collects one user's generated records in canonical order; the
+// sharded sweep fills one slot per subscriber and the merge interleaves
+// them, so the dataset is identical for any worker count.
 type userOutput struct {
 	mme   []mme.Record
 	proxy []proxylog.Record
@@ -367,38 +365,76 @@ func (g *userGen) ordinaryDetail(u *population.User, uid uint64, sampled bool, s
 	}
 }
 
-// mergeRuns reassembles the per-shard runs into the dataset logs in
-// ascending subscriber order — the order the sequential sweep used, which
-// the stable time sorts' tie-breaking depends on. Partition keeps input
-// order within each shard, so walking subscribers 0..n-1 and advancing a
-// cursor per shard replays exactly the sequential concatenation. Each log
-// is sized once from the summed run lengths.
+// mergeRuns k-way merges the per-user runs of the n subscribers into the
+// dataset logs, each in the canonical order of a whole log: stable by time
+// for MME and proxy, by the unique (week, IMSI, IMEI) key for UDR.
 func (ds *Dataset) mergeRuns(parts [][]int, runs [][]userOutput, n int) {
-	var nm, np, nu int
-	for _, run := range runs {
-		for i := range run {
-			nm += len(run[i].mme)
-			np += len(run[i].proxy)
-			nu += len(run[i].udr)
-		}
-	}
-	ds.MME.Records = make([]mme.Record, 0, nm)
-	ds.Proxy.Records = make([]proxylog.Record, 0, np)
-	ds.UDR.Records = make([]udr.Record, 0, nu)
-
-	shardOf := make([]int32, n)
+	mmeRuns := make([][]mme.Record, n)
+	proxyRuns := make([][]proxylog.Record, n)
+	udrRuns := make([][]udr.Record, n)
 	for si, part := range parts {
-		for _, ui := range part {
-			shardOf[ui] = int32(si)
+		for k, ui := range part {
+			out := &runs[si][k]
+			mmeRuns[ui], proxyRuns[ui], udrRuns[ui] = out.mme, out.proxy, out.udr
 		}
 	}
-	cursor := make([]int, len(parts))
-	for u := 0; u < n; u++ {
-		si := shardOf[u]
-		out := &runs[si][cursor[si]]
-		cursor[si]++
-		ds.MME.Records = append(ds.MME.Records, out.mme...)
-		ds.Proxy.Records = append(ds.Proxy.Records, out.proxy...)
-		ds.UDR.Records = append(ds.UDR.Records, out.udr...)
+	ds.MME.Records = mergeUserRuns(mmeRuns, mmeTimeCmp)
+	ds.Proxy.Records = mergeUserRuns(proxyRuns, proxyTimeCmp)
+	ds.UDR.Records = mergeUserRuns(udrRuns, udrKeyCmp)
+}
+
+// mergeUserRuns merges runs, each already ordered by cmp, through a loser
+// tree over the non-empty runs. Ties go to the lower run index, so with
+// runs in ascending user order the result is exactly the stable sort, by
+// cmp, of the runs' concatenation: the sequential sweep's output.
+func mergeUserRuns[R any](runs [][]R, cmp func(a, b *R) int) []R {
+	var live [][]R
+	total := 0
+	for _, run := range runs {
+		if len(run) > 0 {
+			live = append(live, run)
+			total += len(run)
+		}
 	}
+	out := make([]R, 0, total)
+	k := len(live)
+	if k == 0 {
+		return out
+	}
+	// first reports whether run a's head goes out before run b's; an
+	// exhausted run goes last.
+	first := func(a, b int) bool {
+		if len(live[a]) == 0 || len(live[b]) == 0 {
+			return len(live[b]) == 0
+		}
+		if c := cmp(&live[a][0], &live[b][0]); c != 0 {
+			return c < 0
+		}
+		return a < b
+	}
+	// Leaves k..2k-1 are the runs; internal node i keeps the loser of the
+	// match between its children, and w is the overall winner.
+	loser := make([]int, k)
+	winner := make([]int, 2*k)
+	for i := range k {
+		winner[k+i] = i
+	}
+	for i := k - 1; i >= 1; i-- {
+		a, b := winner[2*i], winner[2*i+1]
+		if !first(a, b) {
+			a, b = b, a
+		}
+		winner[i], loser[i] = a, b
+	}
+	w := winner[1]
+	for len(out) < total {
+		out = append(out, live[w][0])
+		live[w] = live[w][1:]
+		for i := (k + w) / 2; i >= 1; i /= 2 {
+			if first(loser[i], w) {
+				loser[i], w = w, loser[i]
+			}
+		}
+	}
+	return out
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"wearwild/internal/geo"
 	"wearwild/internal/mnet/devicedb"
 	"wearwild/internal/simtime"
 )
@@ -26,6 +27,24 @@ func generateTiny(t testing.TB, seed uint64) *Dataset {
 		t.Fatal(err)
 	}
 	return ds
+}
+
+// TestNearestExactOnGeneratorMove pins a move the generator makes at
+// SmallConfig(1) where the grid index that preceded the k-d tree returned
+// sector 656 at 25.76 km instead of sector 507 at 24.51 km.
+func TestNearestExactOnGeneratorMove(t *testing.T) {
+	ds, err := generateSubstrate(SmallConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := geo.Point{Lat: 44.94477, Lon: 2.75159}
+	want := ds.Topology.NearestLinear(p)
+	if want != 507 {
+		t.Fatalf("NearestLinear = %d, want 507: the SmallConfig(1) topology changed", want)
+	}
+	if got := ds.Topology.Nearest(p); got != want {
+		t.Fatalf("Nearest = %d, want %d", got, want)
+	}
 }
 
 func TestGenerateProducesAllLogs(t *testing.T) {

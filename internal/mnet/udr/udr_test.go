@@ -3,6 +3,7 @@ package udr
 import (
 	"bytes"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestSortAndGroup(t *testing.T) {
 	l.Append(recs[2])
 	l.Append(recs[1])
 	l.Append(recs[0])
-	l.Sort()
+	slices.SortFunc(l.Records, Compare)
 	if l.Records[0].Week != 0 || l.Records[0].IMSI != subs.MustNew(1) {
 		t.Fatalf("sort order wrong: %+v", l.Records[0])
 	}
