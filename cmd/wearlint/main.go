@@ -1,9 +1,10 @@
-// Command wearlint runs wearwild's determinism and concurrency checks
-// over the module. It is the CI lint gate and the fast local loop:
+// Command wearlint runs wearwild's eighteen determinism, memory and
+// concurrency checks (wearlint -list describes them) over the module.
+// It is the CI lint gate and the fast local loop:
 //
 //	go run ./cmd/wearlint ./...
 //	go run ./cmd/wearlint ./internal/core
-//	go run ./cmd/wearlint -checks randsplit,allochot ./...
+//	go run ./cmd/wearlint -checks detreach,errdrop,ctxflow ./...
 //	go run ./cmd/wearlint -format json ./...
 //	go run ./cmd/wearlint -json-out wearlint.json ./...
 //

@@ -156,24 +156,21 @@ func (p *Pass) calleeFunc(call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// DefaultAnalyzers returns every check, in stable order: the six
-// intraprocedural tripwires, then the twelve call-graph / dataflow
-// checks (growbound through mergeable are the memory-discipline layer;
-// randsplit through sinkretain are the generator-discipline layer built
-// on the escape/alias summaries), then the concurrency-safety four
-// (ctxflow, atomicmix, chanbound, tickstop) that pin the load-tested
-// collection tier's cancellation, snapshot, queue-bound and
-// timer-lifecycle invariants.
+// DefaultAnalyzers returns every check, in stable order: the three
+// intraprocedural tripwires (maporder, waitgroup, errdrop), then the
+// eleven call-graph / dataflow checks (detreach through floatfold guard
+// determinism and locking, growbound through mergeable are the
+// memory-discipline layer, randsplit through sinkretain are the
+// generator-discipline layer built on the escape/alias summaries), then
+// the concurrency-safety four (ctxflow, atomicmix, chanbound, tickstop)
+// that pin the load-tested collection tier's cancellation, snapshot,
+// queue-bound and timer-lifecycle invariants.
 func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{
-		WalltimeAnalyzer,
-		GlobalrandAnalyzer,
 		MaporderAnalyzer,
 		WaitgroupAnalyzer,
-		ClosecheckAnalyzer,
 		ErrdropAnalyzer,
 		DetreachAnalyzer,
-		DeadlineAnalyzer,
 		LockheldAnalyzer,
 		ShardpureAnalyzer,
 		FloatfoldAnalyzer,
@@ -256,21 +253,16 @@ func (m *Module) Run(analyzers ...*Analyzer) ([]Diagnostic, error) {
 }
 
 // overlapPriority maps a general check to the more specific checks that
-// outrank it when both flag the same site: closecheck beats errdrop
-// (both flag one dropped Close/Flush error at one call),
-// retain/growbound beat allochot (a slab-retention or unbounded-growth
-// finding subsumes the generic per-iteration allocation complaint),
-// deadline beats ctxflow on a shared conn-I/O line (its every-caller-path
-// analysis is the sharper verdict on the same park), and tickstop beats
-// walltime on a per-iteration time.Tick/time.After (the lifecycle leak
+// outrank it when both flag the same site: retain/growbound beat
+// allochot (a slab-retention or unbounded-growth finding subsumes the
+// generic per-iteration allocation complaint), and tickstop beats
+// detreach on a per-iteration time.Tick/time.After (the lifecycle leak
 // subsumes the wall-clock complaint). The overlap key is the line, not
 // the column — the specific checks anchor on the offending argument
 // while the general ones anchor on the statement.
 var overlapPriority = map[string][]string{
-	"errdrop":  {"closecheck"},
 	"allochot": {"retain", "growbound"},
-	"ctxflow":  {"deadline"},
-	"walltime": {"tickstop"},
+	"detreach": {"tickstop"},
 }
 
 // dedupeOverlaps drops a general check's diagnostic when a more

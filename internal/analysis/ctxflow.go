@@ -6,16 +6,27 @@ import (
 	"go/types"
 )
 
-// CtxflowAnalyzer enforces cancellation on the collection tier's
-// goroutine paths: every blocking site reachable from a go statement in
-// the proxy/replay packages — blocking channel operations, raw net.Conn
-// I/O, and Accept loops — must be cancellable, or Close() can wait
-// forever on a parked worker. The accepted disciplines are exactly the
-// ones the issue's sibling checks already define:
+// CtxflowAnalyzer enforces cancellation on the collection path in two
+// phases that share one per-function summary of raw net.Conn I/O and
+// deadline guards.
+//
+// The caller-path phase requires every net.Conn Read/Write in
+// internal/mnet to be dominated by a SetDeadline-family call — in the
+// same function, or in a caller on every path into it. Deadlines are
+// direction-aware: SetDeadline guards both directions, SetReadDeadline
+// only reads, SetWriteDeadline only writes. The collection path is the
+// only code that reads and writes real sockets, and DESIGN.md §6
+// promises none of it can wedge on a dead peer.
+//
+// The goroutine-path phase covers the collection tier's goroutines:
+// every blocking site reachable from a go statement in the proxy/replay
+// packages — blocking channel operations, raw net.Conn I/O, and Accept
+// loops — must be cancellable, or Close() can wait forever on a parked
+// worker. The accepted disciplines:
 //
 //   - deadline-guarded conn I/O: a SetDeadline-family call for the
 //     direction, in the site's function, in the spawning function, or in
-//     any function along the spawn chain (the deadline check's guard,
+//     any function along the spawn chain (the caller-path guard,
 //     accumulated forward from the spawn);
 //   - selected against shutdown: a select with a default, a done/stop
 //     channel case, a ctx.Done() case, or a timer/ticker C case;
@@ -42,11 +53,11 @@ import (
 //   - Deadline guards accumulate along the discovery chain only; a guard
 //     armed in a sibling call is invisible. sync.WaitGroup.Wait parks
 //     are goleak/lockheld territory, not flagged here.
-//   - A line both ctxflow and deadline flag keeps the deadline finding
-//     (overlapPriority): its every-caller-path analysis is sharper.
+//   - A site both phases flag reports once, with the caller-path
+//     finding: its every-caller-path analysis is the sharper verdict.
 var CtxflowAnalyzer = &Analyzer{
 	Name:      "ctxflow",
-	Doc:       "blocking channel ops, net.Conn I/O and Accept loops on collection-tier goroutine paths must be cancellable: deadline guard, shutdown select, or joined lifecycle",
+	Doc:       "net.Conn Read/Write in internal/mnet needs a SetDeadline-family call in the function or on every caller path into it; blocking channel ops, conn I/O and Accept loops on collection-tier goroutine paths must be cancellable: deadline guard, shutdown select, or joined lifecycle",
 	RunModule: runCtxflow,
 }
 
@@ -58,6 +69,10 @@ var ctxflowPkgs = []string{
 	"cmd/wearproxy",
 	"cmd/wearreplay",
 }
+
+// ctxflowIOScope is the caller-path phase's scope: the collection path
+// is the only code that reads and writes real sockets.
+var ctxflowIOScope = []string{"internal/mnet/..."}
 
 // ctxGuards is the accumulated deadline state along a spawn chain.
 type ctxGuards struct{ read, write bool }
@@ -97,6 +112,9 @@ func runCtxflow(mp *ModulePass) {
 	})
 
 	reported := map[string]bool{}
+	if conn != nil {
+		ctxflowCallerPaths(mp, facts, reported)
+	}
 	g.Walk(func(n *Node) {
 		if n.Decl == nil || n.Decl.Body == nil || n.Test || !matchRel(n.Rel, ctxflowPkgs) {
 			return
@@ -326,4 +344,149 @@ func ctxSendsTo(pass *Pass, body *ast.BlockStmt, obj types.Object) bool {
 		return !found
 	})
 	return found
+}
+
+// connIOSite is one raw Read/Write on a net.Conn.
+type connIOSite struct {
+	pos   token.Pos
+	write bool
+	expr  string // receiver text, for the message
+}
+
+// deadlineFacts summarises one function's raw conn I/O and deadline
+// guards for both phases.
+type deadlineFacts struct {
+	io          []connIOSite
+	guardsRead  bool
+	guardsWrite bool
+}
+
+// ctxflowCallerPaths is the caller-path phase. Facts cover every module
+// function — guards outside internal/mnet still count for callers — but
+// only in-scope IO sites are reported. Each reported site is recorded so
+// the goroutine-path phase does not report it again.
+func ctxflowCallerPaths(mp *ModulePass, facts map[*Node]*deadlineFacts, reported map[string]bool) {
+	for _, n := range mp.Graph.FuncsIn(ctxflowIOScope) {
+		if n.Test {
+			continue
+		}
+		f := facts[n]
+		for _, site := range f.io {
+			if guardsDirection(f, site.write) {
+				continue
+			}
+			if entry, chain := unguardedEntry(n, site.write, facts); entry != nil {
+				verb, guard := "Read", "SetReadDeadline"
+				if site.write {
+					verb, guard = "Write", "SetWriteDeadline"
+				}
+				from := ""
+				if entry != n {
+					from = " (unguarded entry " + entry.DisplayName(mp.Mod) + ": " + renderChain(mp.Mod, chain) + ")"
+				}
+				reported[mp.Mod.Fset.Position(site.pos).String()] = true
+				mp.Reportf(site.pos, pathSteps(mp.Mod, chain),
+					"%s.%s can park forever: no %s/SetDeadline in %s or on every caller path into it%s; arm a deadline before the I/O (DESIGN.md §5)",
+					site.expr, verb, guard, n.DisplayName(mp.Mod), from)
+			}
+		}
+	}
+}
+
+// connFacts scans one body for raw conn IO and deadline guards.
+func connFacts(pass *Pass, body *ast.BlockStmt, conn *types.Interface) *deadlineFacts {
+	f := &deadlineFacts{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		name := sel.Sel.Name
+		switch name {
+		case "Read", "Write", "SetDeadline", "SetReadDeadline", "SetWriteDeadline":
+		default:
+			return true
+		}
+		if fn, ok := pass.ObjectOf(sel.Sel).(*types.Func); !ok || fn.Pkg() == nil {
+			return true
+		} else if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() == nil {
+			return true
+		}
+		t := pass.TypeOf(sel.X)
+		if t == nil || !types.Implements(t, conn) && !types.Implements(types.NewPointer(t), conn) {
+			return true
+		}
+		switch name {
+		case "Read":
+			f.io = append(f.io, connIOSite{pos: call.Pos(), write: false, expr: types.ExprString(sel.X)})
+		case "Write":
+			f.io = append(f.io, connIOSite{pos: call.Pos(), write: true, expr: types.ExprString(sel.X)})
+		case "SetDeadline":
+			f.guardsRead, f.guardsWrite = true, true
+		case "SetReadDeadline":
+			f.guardsRead = true
+		case "SetWriteDeadline":
+			f.guardsWrite = true
+		}
+		return true
+	})
+	return f
+}
+
+func guardsDirection(f *deadlineFacts, write bool) bool {
+	if f == nil {
+		return false
+	}
+	if write {
+		return f.guardsWrite
+	}
+	return f.guardsRead
+}
+
+// unguardedEntry walks the caller graph backwards from n looking for a
+// path every function of which lacks a matching deadline guard, ending
+// at an entry (a function with no non-test module callers). It returns
+// that entry and the unguarded call chain entry→…→n, or nil when every
+// path into n is guarded. Test callers are skipped: a test harness
+// driving an unexported helper is a controlled environment, and the
+// helper is reported through its production entries instead.
+func unguardedEntry(n *Node, write bool, facts map[*Node]*deadlineFacts) (*Node, []Edge) {
+	type item struct {
+		n     *Node
+		chain []Edge // reversed: edge into n first
+	}
+	seen := map[*Node]bool{n: true}
+	queue := []item{{n: n}}
+	for len(queue) > 0 {
+		it := queue[0]
+		queue = queue[1:]
+		entry := true
+		for _, e := range it.n.In {
+			caller := e.Caller
+			if caller.Test || !caller.InModule {
+				continue
+			}
+			entry = false
+			if seen[caller] {
+				continue
+			}
+			seen[caller] = true
+			if guardsDirection(facts[caller], write) {
+				continue // this path is guarded; others may not be
+			}
+			queue = append(queue, item{n: caller, chain: append(append([]Edge(nil), it.chain...), e)})
+		}
+		if entry {
+			chain := make([]Edge, 0, len(it.chain))
+			for i := len(it.chain) - 1; i >= 0; i-- {
+				chain = append(chain, it.chain[i])
+			}
+			return it.n, chain
+		}
+	}
+	return nil, nil
 }

@@ -239,12 +239,16 @@ func checkTree(t *testing.T, dir, mount string, a *Analyzer) []Diagnostic {
 	return diags
 }
 
+// TestGoldenWalltime pins detreach's wall-clock rule over the walltime
+// fixture: every package-level clock reader is flagged once, while
+// time.Unix, the (time.Time).After method and test files pass.
 func TestGoldenWalltime(t *testing.T) {
-	checkFixture(t, "walltime", "internal/gen/fixture", WalltimeAnalyzer)
+	checkFixture(t, "walltime", "internal/gen/fixture", DetreachAnalyzer)
 }
 
-// TestGoldenWalltimeAllowlist reruns the same violating fixture at allowlisted
-// module paths; the path, not the code, decides.
+// TestGoldenWalltimeAllowlist reruns the same violating fixture at the
+// packages allowed to read the clock, none of them reachable from a
+// determinism root: the path, not the code, decides.
 func TestGoldenWalltimeAllowlist(t *testing.T) {
 	for _, rel := range []string{
 		"cmd/fixture",
@@ -252,18 +256,22 @@ func TestGoldenWalltimeAllowlist(t *testing.T) {
 		"internal/mnet/netproxy",
 		"internal/mnet/replay",
 	} {
-		if diags := runFixture(t, "walltime", rel, WalltimeAnalyzer); len(diags) != 0 {
+		if diags := runFixture(t, "walltime", rel, DetreachAnalyzer); len(diags) != 0 {
 			t.Errorf("rel %q: allowlisted package still flagged: %v", rel, diags)
 		}
 	}
 }
 
+// TestGoldenGlobalrand pins detreach's global math/rand rule: stream
+// draws are flagged, seeded constructors and methods pass.
 func TestGoldenGlobalrand(t *testing.T) {
-	checkFixture(t, "globalrand", "internal/gen/fixture", GlobalrandAnalyzer)
+	checkFixture(t, "globalrand", "internal/gen/fixture", DetreachAnalyzer)
 }
 
+// TestGoldenGlobalrandAllowlist reruns the fixture inside internal/randx,
+// the one package allowed to touch math/rand.
 func TestGoldenGlobalrandAllowlist(t *testing.T) {
-	if diags := runFixture(t, "globalrand", "internal/randx", GlobalrandAnalyzer); len(diags) != 0 {
+	if diags := runFixture(t, "globalrand", "internal/randx", DetreachAnalyzer); len(diags) != 0 {
 		t.Errorf("internal/randx may construct rand streams, got: %v", diags)
 	}
 }
@@ -276,51 +284,94 @@ func TestGoldenWaitgroup(t *testing.T) {
 	checkFixture(t, "waitgroup", "internal/fixture", WaitgroupAnalyzer)
 }
 
+// TestGoldenClosecheck pins errdrop's writer rule over the closecheck
+// fixture: dropped Flush/Close errors on writers flag, while the _ =
+// acknowledgment and the read-only file pass. The function that returns
+// no error is left to the general rule.
 func TestGoldenClosecheck(t *testing.T) {
-	checkFixture(t, "closecheck", "internal/report/fixture", ClosecheckAnalyzer)
+	checkFixture(t, "closecheck", "internal/report/fixture", ErrdropAnalyzer)
 }
 
-// TestLoadTreeDetreach pins the interprocedural clock check: banned
-// calls two hops from a root are flagged with the full chain, and an
-// identical banned call the roots cannot reach stays silent.
+// TestLoadTreeDetreach pins both detreach modes over one tree. Banned
+// calls two hops from a root are flagged with the full chain, even in
+// internal/mnet/netproxy, where reach overrides the clock allowlist. An
+// unreached read flags without a chain in a package the allowlist does
+// not cover, and stays silent in one it does.
 func TestLoadTreeDetreach(t *testing.T) {
 	diags := checkTree(t, "detreach", "internal", DetreachAnalyzer)
-	var stamp *Diagnostic
-	for i := range diags {
-		if strings.Contains(diags[i].Message, "time.Now") {
-			stamp = &diags[i]
+	for _, tc := range []struct{ file, chain string }{
+		{"clockutil.go", "internal/study.Pipeline → internal/clockutil.Stamp → time.Now"},
+		{"netproxy.go", "internal/study.Pipeline → internal/mnet/netproxy.Deadline → time.Now"},
+	} {
+		var stamp *Diagnostic
+		for i := range diags {
+			if filepath.Base(diags[i].Pos.Filename) == tc.file && strings.Contains(diags[i].Message, tc.chain) {
+				stamp = &diags[i]
+			}
+		}
+		if stamp == nil {
+			t.Errorf("no %s diagnostic renders the chain %q: %v", tc.file, tc.chain, diags)
+			continue
+		}
+		if len(stamp.Path) < 2 {
+			t.Errorf("want a >=2-hop chain on %s, got %d steps: %v", stamp, len(stamp.Path), stamp.Path)
+		}
+		if !strings.Contains(stamp.Message, "determinism root internal/study.Pipeline") {
+			t.Errorf("message missing the root attribution: %s", stamp.Message)
+		}
+		if !strings.Contains(stamp.Message, "internal/simtime") {
+			t.Errorf("message missing the simtime remediation: %s", stamp.Message)
 		}
 	}
-	if stamp == nil {
-		t.Fatal("no diagnostic for the time.Now leg")
-	}
-	if len(stamp.Path) < 2 {
-		t.Errorf("want a >=2-hop chain on the time.Now finding, got %d steps: %v", len(stamp.Path), stamp.Path)
-	}
-	wantChain := "internal/study.Pipeline → internal/clockutil.Stamp → time.Now"
-	if !strings.Contains(stamp.Message, wantChain) {
-		t.Errorf("message missing chain %q:\n%s", wantChain, stamp.Message)
-	}
-	if !strings.Contains(stamp.Message, "determinism root internal/study.Pipeline") {
-		t.Errorf("message missing the root attribution: %s", stamp.Message)
+	for _, d := range diags {
+		if d.Pos.Line == 28 && filepath.Base(d.Pos.Filename) == "clockutil.go" {
+			if len(d.Path) != 0 || !strings.Contains(d.Message, "outside its allowlisted packages") {
+				t.Errorf("unreached clockutil.Unused must get the direct, chainless finding: %s %v", d, d.Path)
+			}
+		}
 	}
 }
 
 // TestLoadTreeDetreachSuppress proves one //wearlint:ignore detreach on
-// the root call site silences every finding whose chain passes through
-// that line.
+// the root call site silences every chain that passes through that
+// line. The banned uses themselves sit in a package allowed neither
+// family, so each still gets its direct, chainless finding.
 func TestLoadTreeDetreachSuppress(t *testing.T) {
-	_, diags := runTree(t, "detreachsuppress", "internal", DetreachAnalyzer)
-	if len(diags) != 0 {
-		t.Errorf("root-site directive left %d finding(s): %v", len(diags), diags)
+	for _, d := range checkTree(t, "detreachsuppress", "internal", DetreachAnalyzer) {
+		if len(d.Path) != 0 || strings.Contains(d.Message, "reachable from determinism root") {
+			t.Errorf("root-site directive left a chain finding: %s", d)
+		}
 	}
 }
 
-// TestLoadTreeDeadline pins the caller-path deadline analysis: own-guard
-// and all-callers-guarded reads stay silent, an unguarded entry and a
+// TestOneFindingPerLine runs the full catalog over fixtures whose direct
+// clock and rand uses the determinism roots also reach: no (file, line)
+// may carry two findings, so one directive always silences one bug.
+func TestOneFindingPerLine(t *testing.T) {
+	var diags []Diagnostic
+	for _, dir := range []string{"walltime", "globalrand"} {
+		diags = append(diags, runFixture(t, dir, "internal/gen/fixture", DefaultAnalyzers()...)...)
+	}
+	_, tree := runTree(t, "detreach", "internal", DefaultAnalyzers()...)
+	diags = append(diags, tree...)
+	if len(diags) == 0 {
+		t.Fatal("the fixtures produced no findings")
+	}
+	seen := map[ignoreKey]Diagnostic{}
+	for _, d := range diags {
+		k := ignoreKey{d.Pos.Filename, d.Pos.Line}
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%s:%d reported twice:\n  %s\n  %s", filepath.Base(k.file), k.line, prev, d)
+		}
+		seen[k] = d
+	}
+}
+
+// TestLoadTreeDeadline pins ctxflow's caller-path phase: own-guard and
+// all-callers-guarded reads stay silent, an unguarded entry and a
 // direction mismatch are flagged.
 func TestLoadTreeDeadline(t *testing.T) {
-	diags := checkTree(t, "deadline", "internal/mnet", DeadlineAnalyzer)
+	diags := checkTree(t, "deadline", "internal/mnet", CtxflowAnalyzer)
 	foundEntry := false
 	for _, d := range diags {
 		if strings.Contains(d.Message, "unguarded entry internal/mnet/wire.Relay") {
@@ -354,7 +405,7 @@ func TestLoadTreeLockheld(t *testing.T) {
 // is itself reported under the unsuppressable "ignore" pseudo-check.
 func TestGoldenSuppress(t *testing.T) {
 	checkFixtureMessages(t)
-	diags := runFixture(t, "suppress", "internal/fixture", WalltimeAnalyzer)
+	diags := runFixture(t, "suppress", "internal/fixture", DetreachAnalyzer)
 
 	src, err := os.ReadFile(filepath.Join("testdata", "suppress", "suppress.go"))
 	if err != nil {
@@ -370,19 +421,19 @@ func TestGoldenSuppress(t *testing.T) {
 		t.Fatal("fixture lost its bare //wearlint:ignore directive")
 	}
 
-	var walltime, ignore []Diagnostic
+	var detreach, ignore []Diagnostic
 	for _, d := range diags {
 		switch d.Check {
-		case "walltime":
-			walltime = append(walltime, d)
+		case "detreach":
+			detreach = append(detreach, d)
 		case "ignore":
 			ignore = append(ignore, d)
 		default:
 			t.Errorf("unexpected check %q: %s", d.Check, d)
 		}
 	}
-	if len(walltime) != 1 {
-		t.Fatalf("want exactly 1 surviving walltime diagnostic (wrong-check directive), got %d: %v", len(walltime), walltime)
+	if len(detreach) != 1 {
+		t.Fatalf("want exactly 1 surviving detreach diagnostic (wrong-check directive), got %d: %v", len(detreach), detreach)
 	}
 	if len(ignore) != 1 {
 		t.Fatalf("want exactly 1 malformed-directive diagnostic, got %d: %v", len(ignore), ignore)
@@ -508,28 +559,17 @@ func TestGoldenErrdropScope(t *testing.T) {
 	}
 }
 
-// TestGoldenOverlapDedupe pins the closecheck/errdrop overlap rule: a
-// dropped Close/Flush both checks match yields the single closecheck
-// diagnostic, and errdrop alone still covers the site when closecheck
-// is not in the run.
+// TestGoldenOverlapDedupe pins errdrop's rule overlap: a dropped
+// Close/Flush that both the writer rule and the general rule match
+// yields one diagnostic per call, with the writer-path wording.
 func TestGoldenOverlapDedupe(t *testing.T) {
-	both := runFixture(t, "overlap", "internal/report/fixture", ClosecheckAnalyzer, ErrdropAnalyzer)
-	if len(both) != 2 {
-		t.Fatalf("want exactly 2 deduped diagnostics, got %d: %v", len(both), both)
+	diags := runFixture(t, "overlap", "internal/report/fixture", ErrdropAnalyzer)
+	if len(diags) != 2 {
+		t.Fatalf("want exactly 2 diagnostics, one per dropped call, got %d: %v", len(diags), diags)
 	}
-	for _, d := range both {
-		if d.Check != "closecheck" {
-			t.Errorf("dedupe must keep closecheck over errdrop, got %q at %s", d.Check, d)
-		}
-	}
-
-	alone := runFixture(t, "overlap", "internal/report/fixture", ErrdropAnalyzer)
-	if len(alone) != 2 {
-		t.Fatalf("errdrop alone must still flag both drops, got %d: %v", len(alone), alone)
-	}
-	for _, d := range alone {
-		if d.Check != "errdrop" {
-			t.Errorf("solo run produced %q, want errdrop: %s", d.Check, d)
+	for _, d := range diags {
+		if d.Check != "errdrop" || !strings.Contains(d.Message, "writer path") {
+			t.Errorf("want the errdrop writer-path finding, got %s", d)
 		}
 	}
 }
@@ -544,7 +584,7 @@ func TestWriteJSONSuppressed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		diags, err := m.Run(WalltimeAnalyzer)
+		diags, err := m.Run(DetreachAnalyzer)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -556,8 +596,8 @@ func TestWriteJSONSuppressed(t *testing.T) {
 		t.Errorf("JSON output differs between identical runs:\n--- run 1\n%s\n--- run 2\n%s", bufs[0].String(), bufs[1].String())
 	}
 	out := bufs[0].String()
-	if got := strings.Count(out, `"check": "walltime"`); got != 1 {
-		t.Errorf("want exactly the 1 unsuppressed walltime finding in JSON, got %d:\n%s", got, out)
+	if got := strings.Count(out, `"check": "detreach"`); got != 1 {
+		t.Errorf("want exactly the 1 unsuppressed detreach finding in JSON, got %d:\n%s", got, out)
 	}
 	// The fixture's suppressed violations sit on lines 9, 15 and 20; none
 	// may surface in the emitted JSON.
@@ -578,11 +618,11 @@ func checkFixtureMessages(t *testing.T) {
 		a        *Analyzer
 		contains string
 	}{
-		{"walltime", "internal/gen/fixture", WalltimeAnalyzer, "internal/simtime"},
-		{"globalrand", "internal/gen/fixture", GlobalrandAnalyzer, "internal/randx"},
+		{"walltime", "internal/gen/fixture", DetreachAnalyzer, "internal/simtime"},
+		{"globalrand", "internal/gen/fixture", DetreachAnalyzer, "internal/randx"},
 		{"maporder", "internal/core/fixture", MaporderAnalyzer, "collect the keys, sort them"},
 		{"waitgroup", "internal/fixture", WaitgroupAnalyzer, "before the go statement"},
-		{"closecheck", "internal/report/fixture", ClosecheckAnalyzer, "writer path"},
+		{"closecheck", "internal/report/fixture", ErrdropAnalyzer, "writer path"},
 	} {
 		diags := runFixture(t, tc.dir, tc.rel, tc.a)
 		if len(diags) == 0 {
@@ -1008,10 +1048,12 @@ func TestGoldenAllocOverlapDedupe(t *testing.T) {
 // every discipline — done receive, buffered handoff, semaphore token,
 // joined worker, shutdown select, gated accept, spawner-armed deadline
 // (local and through the chain) and the dynamic spawn — stays silent.
+// The unguarded read in SpawnConnRead is also an unguarded caller path,
+// so it reports once, with the caller-path finding.
 func TestLoadTreeCtxflow(t *testing.T) {
 	diags := checkTree(t, "ctxflow", "internal/mnet", CtxflowAnalyzer)
 
-	var chained, accept *Diagnostic
+	var chained, accept, callerPath *Diagnostic
 	for i := range diags {
 		d := &diags[i]
 		if strings.Contains(filepath.ToSlash(d.Pos.Filename), "/sink/") {
@@ -1020,15 +1062,22 @@ func TestLoadTreeCtxflow(t *testing.T) {
 		if strings.Contains(d.Message, "accept loop is not cancellable") {
 			accept = d
 		}
-		if !strings.Contains(d.Message, "on goroutine path") {
-			t.Errorf("ctxflow message lacks the spawn-path rendering: %q", d.Message)
-		}
 		if !strings.Contains(d.Message, "DESIGN.md §5") {
 			t.Errorf("ctxflow message lacks the catalog pointer: %q", d.Message)
+		}
+		if strings.Contains(d.Message, "on every caller path") {
+			callerPath = d
+			continue
+		}
+		if !strings.Contains(d.Message, "on goroutine path") {
+			t.Errorf("ctxflow message lacks the spawn-path rendering: %q", d.Message)
 		}
 		if len(d.Path) == 0 {
 			t.Errorf("ctxflow finding must carry the spawn step for chain-aware suppression: %s", d)
 		}
+	}
+	if callerPath == nil || !strings.Contains(callerPath.Message, "netproxy.SpawnConnRead") {
+		t.Errorf("the read in SpawnConnRead must report the caller-path finding; got %v", callerPath)
 	}
 	if chained == nil {
 		t.Fatalf("no diagnostic for the spawned helper sink.Drain; got %v", diags)

@@ -30,7 +30,7 @@ import (
 // misattribute bodies); a non-blocking body is never flagged even if it
 // loops forever (termination is out of scope — blocking classification
 // is the oracle); blocking I/O inside a buffered-handoff body is judged
-// by the deadline check, not here.
+// by ctxflow's caller-path phase, not here.
 var GoleakAnalyzer = &Analyzer{
 	Name:      "goleak",
 	Doc:       "goroutines on collection paths must have a bounded exit: WaitGroup join, done-channel signal, buffered handoff, or completion close",

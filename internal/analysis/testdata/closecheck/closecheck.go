@@ -1,4 +1,4 @@
-// Package fixture exercises the closecheck check.
+// Package fixture exercises errdrop's writer rule.
 package fixture
 
 import (
@@ -14,7 +14,7 @@ func DropFlush(w io.Writer) error {
 	if _, err := bw.WriteString("row\n"); err != nil {
 		return err
 	}
-	bw.Flush() // want closecheck
+	bw.Flush() // want errdrop
 	return nil
 }
 
@@ -24,7 +24,7 @@ func DeferDrop(path string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close() // want closecheck
+	defer f.Close() // want errdrop
 	_, err = f.WriteString("data")
 	return err
 }
@@ -52,8 +52,8 @@ func ReadOnly(path string) error {
 	return err
 }
 
-// NoErrorReturn cannot propagate the error anyway, so it is not flagged.
+// NoErrorReturn cannot propagate it, so only the general rule flags it.
 func NoErrorReturn(w io.Writer) {
 	bw := bufio.NewWriter(w)
-	bw.Flush()
+	bw.Flush() // want errdrop
 }

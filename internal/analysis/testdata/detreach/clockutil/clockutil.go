@@ -1,5 +1,5 @@
 // Package clockutil mounts at internal/clockutil, outside the
-// determinism roots: only the calls the roots can reach may be flagged.
+// determinism roots and outside the clock and rand allowlists.
 package clockutil
 
 import (
@@ -22,8 +22,8 @@ func Seeded() int {
 	return rand.New(rand.NewSource(1)).Intn(6)
 }
 
-// Unused is not reachable from any root: its clock read stays silent,
-// proving the check is reachability-based, not package-based.
+// Unused is not reachable from any root, but internal/clockutil is not
+// allowed the clock either: the direct mode flags it, without a chain.
 func Unused() int64 {
-	return time.Now().UnixNano()
+	return time.Now().UnixNano() // want detreach
 }

@@ -1,5 +1,5 @@
-// Package clockutil holds the banned calls; no directive appears here,
-// so any surviving diagnostic means root-site suppression failed.
+// Package clockutil holds the banned calls; no directive appears here.
+// Their chains are suppressed at the root; each direct use still flags.
 package clockutil
 
 import (
@@ -7,12 +7,12 @@ import (
 	"time"
 )
 
-// Stamp reads the clock; its finding is suppressed at the root.
+// Stamp reads the clock; its chain is suppressed at the root.
 func Stamp() int64 {
-	return time.Now().UnixNano()
+	return time.Now().UnixNano() // want detreach
 }
 
-// Draw draws from the global stream; suppressed at the root too.
+// Draw draws from the global stream; its chain is suppressed too.
 func Draw() int {
-	return rand.Intn(6)
+	return rand.Intn(6) // want detreach
 }

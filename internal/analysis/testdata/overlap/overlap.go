@@ -1,6 +1,6 @@
-// Package overlap pins the closecheck/errdrop dedupe: both checks match
-// a dropped writer Close/Flush at the same position, and Module.Run
-// must fold the pair into the single closecheck diagnostic.
+// Package overlap pins errdrop's rule overlap: the writer rule and the
+// general rule both match a dropped writer Close/Flush, and the check
+// must report each call once, with the writer-path wording.
 package overlap
 
 import (
@@ -20,7 +20,7 @@ func WriteReport(path string) error {
 	if _, err := fmt.Fprintln(w, "report"); err != nil {
 		return err
 	}
-	w.Flush()       // want closecheck
-	defer f.Close() // want closecheck
+	w.Flush()       // want errdrop
+	defer f.Close() // want errdrop
 	return nil
 }
