@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race lint lint-json lint-only lint-fixtures lint-suppressions lint-inventory fuzz-smoke bench-smoke check
+.PHONY: build vet test race lint lint-json lint-only lint-fixtures lint-suppressions lint-inventory fuzz-smoke perfbench bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,12 @@ lint-inventory:
 fuzz-smoke:
 	$(GO) test -run='^Fuzz' ./internal/mnet/... ./internal/analysis ./internal/randx
 
+# The benchmark (_perfbench) is its own module outside ./..., so build,
+# vet and test above never compile it. It calls the public API and the
+# codec ReadFile/WriteFile, so an API change that breaks it fails here.
+perfbench:
+	cd _perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Small-scale end-to-end benchmark: emits BENCH.json (timings, allocs,
 # study peak heap, sequential-vs-parallel determinism cross-check) and
 # fails when a phase timing — or study peak heap, the bounded-memory
@@ -74,4 +80,4 @@ bench-smoke:
 	$(GO) run ./cmd/wearbench -small -bench-json -bench-baseline 'BENCH_*.json' -o BENCH.json
 	@cat BENCH.json
 
-check: build vet lint lint-fixtures lint-inventory race fuzz-smoke
+check: build vet lint lint-fixtures lint-inventory race fuzz-smoke perfbench

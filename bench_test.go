@@ -205,9 +205,8 @@ func BenchmarkSessionizeGap30s(b *testing.B) { benchSessionize(b, 30*time.Second
 func BenchmarkSessionizeGap1m(b *testing.B)  { benchSessionize(b, time.Minute) }
 func BenchmarkSessionizeGap5m(b *testing.B)  { benchSessionize(b, 5*time.Minute) }
 
-// App-attribution ablation: the paper's timeframe-correlation (majority
-// vote) against the cheaper first-anchor strategy. The attributed_pct
-// metric shows coverage; agree_pct how often the strategies concur.
+// App attribution: the paper's timeframe-correlation (majority vote) over
+// every usage. The attributed_pct metric shows coverage.
 func BenchmarkAttribute(b *testing.B) {
 	recs := benchProxyRecords(b)
 	usages := sessions.Sessionize(recs, time.Minute)
@@ -263,25 +262,4 @@ func BenchmarkWearlintModule(b *testing.B) {
 	if warm > warmCeiling {
 		b.Fatalf("warm module lint took %v per run, above the %v ceiling", warm, warmCeiling)
 	}
-}
-
-func BenchmarkAttributeAnchor(b *testing.B) {
-	recs := benchProxyRecords(b)
-	usages := sessions.Sessionize(recs, time.Minute)
-	resolver := appid.NewResolver(apps.DefaultWithTail())
-	vote := resolver.Attribute(usages)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var anchor []appid.Attributed
-	for i := 0; i < b.N; i++ {
-		anchor = resolver.AttributeAnchor(usages)
-	}
-	b.StopTimer()
-	agree := 0
-	for i := range anchor {
-		if anchor[i].App == vote[i].App {
-			agree++
-		}
-	}
-	b.ReportMetric(100*float64(agree)/float64(len(anchor)), "agree_pct")
 }

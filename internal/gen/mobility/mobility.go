@@ -100,17 +100,13 @@ func New(topo *cells.Topology, cfg Config) (*Generator, error) {
 	return &Generator{topo: topo, cfg: cfg}, nil
 }
 
-// DayVisits returns the chronological, per-sector-deduplicated visits of a
-// user on a day. The itinerary is derived only from (user, day, stream),
-// so every device the user carries sees the same movement.
-func (g *Generator) DayVisits(u *population.User, d simtime.Day, r *randx.Rand) []Visit {
-	return g.AppendDayVisits(nil, u, d, r)
-}
-
-// AppendDayVisits is DayVisits writing past len(dst): the generator sweep
-// passes a per-worker slab reset each day, so itinerary generation costs no
-// allocation once the slab has grown to the user's busiest day. Only
-// dst[len(dst):] is sorted and deduplicated; earlier entries are untouched.
+// AppendDayVisits appends the chronological, per-sector-deduplicated
+// visits of a user on a day past len(dst). The itinerary is derived only
+// from (user, day, stream), so every device the user carries sees the
+// same movement. The generator sweep passes a per-worker slab reset each
+// day, so itinerary generation costs no allocation once the slab has
+// grown to the user's busiest day. Only dst[len(dst):] is sorted and
+// deduplicated; earlier entries are untouched.
 func (g *Generator) AppendDayVisits(dst []Visit, u *population.User, d simtime.Day, r *randx.Rand) []Visit {
 	day := d.Time()
 	base := len(dst)
@@ -259,17 +255,9 @@ func canonicalizeTail(v []Visit, base int) []Visit {
 	return v[:base+len(out)]
 }
 
-// Records converts a day's visits into MME records for one device: the
-// first visit is an Attach, the rest are Updates.
-func Records(u *population.User, dev imei.IMEI, visits []Visit) []mme.Record {
-	if len(visits) == 0 {
-		return nil
-	}
-	return AppendRecords(make([]mme.Record, 0, len(visits)), u, dev, visits)
-}
-
-// AppendRecords is Records appending into a caller slab; the visit count
-// bounds the growth to at most one reallocation.
+// AppendRecords converts a day's visits into MME records for one device,
+// appending into a caller slab: the first visit is an Attach, the rest are
+// Updates. The visit count bounds the growth to at most one reallocation.
 func AppendRecords(dst []mme.Record, u *population.User, dev imei.IMEI, visits []Visit) []mme.Record {
 	dst = slices.Grow(dst, len(visits))[:len(dst)]
 	for i, v := range visits {
@@ -286,19 +274,4 @@ func AppendRecords(dst []mme.Record, u *population.User, dev imei.IMEI, visits [
 		})
 	}
 	return dst
-}
-
-// MaxDisplacementKm returns the greatest pairwise distance between the
-// sectors of a day's visits — the paper's max-displacement metric, computed
-// on positions the same way the analysis later computes it on sectors.
-func (g *Generator) MaxDisplacementKm(visits []Visit) float64 {
-	var max float64
-	for i := 0; i < len(visits); i++ {
-		for j := i + 1; j < len(visits); j++ {
-			if d := g.topo.DistanceKm(visits[i].Sector, visits[j].Sector); d > max {
-				max = d
-			}
-		}
-	}
-	return max
 }

@@ -46,9 +46,10 @@ func (ds *Dataset) Save(dir string) error {
 	return nil
 }
 
-// Load reads a dataset directory written by Save, rebuilding the
-// deterministic substrate from the stored config and verifying the logs
-// against it.
+// Load reads a dataset directory written by Save. It rebuilds the
+// deterministic substrate (topology, device DB, catalogue, population)
+// from the stored config and reads the three logs as saved; it does not
+// check the logs against the substrate.
 func Load(dir string) (*Dataset, error) {
 	meta, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if err != nil {
@@ -58,9 +59,9 @@ func Load(dir string) (*Dataset, error) {
 	if err := json.Unmarshal(meta, &cfg); err != nil {
 		return nil, fmt.Errorf("sim: parsing %s: %w", metaFile, err)
 	}
-	// Rebuild substrate and ground truth only — regenerating the logs is
-	// unnecessary; we read them from disk.
-	ds, err := substrateOnly(cfg)
+	// Rebuild the substrate only — regenerating the logs is unnecessary;
+	// we read them from disk.
+	ds, err := generateSubstrate(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -80,14 +81,4 @@ func Load(dir string) (*Dataset, error) {
 	ds.Proxy.Records = proxyRecs
 	ds.UDR.Records = udrRecs
 	return ds, nil
-}
-
-// substrateOnly builds everything deterministic about a dataset except the
-// logs.
-func substrateOnly(cfg Config) (*Dataset, error) {
-	full, err := generateSubstrate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return full, nil
 }

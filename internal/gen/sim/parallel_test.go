@@ -38,10 +38,22 @@ type logSink struct {
 	users int
 }
 
-func (s *logSink) Proxy(r proxylog.Record) error { s.proxy.Append(r); return nil }
-func (s *logSink) MME(r mme.Record) error        { s.mme.Append(r); return nil }
-func (s *logSink) UDR(r udr.Record) error        { s.udr.Append(r); return nil }
-func (s *logSink) UserDone(subs.IMSI) error      { s.users++; return nil }
+func (s *logSink) Proxy(r proxylog.Record) error {
+	s.proxy.Records = append(s.proxy.Records, r)
+	return nil
+}
+
+func (s *logSink) MME(r mme.Record) error {
+	s.mme.Records = append(s.mme.Records, r)
+	return nil
+}
+
+func (s *logSink) UDR(r udr.Record) error {
+	s.udr.Records = append(s.udr.Records, r)
+	return nil
+}
+
+func (s *logSink) UserDone(subs.IMSI) error { s.users++; return nil }
 
 // TestGenerateParallelEquivalence pins the shard-and-merge generator at
 // the encoding layer: the logs Generate emits must be byte-identical for

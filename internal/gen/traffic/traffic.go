@@ -230,9 +230,6 @@ type Scratch struct {
 	perm    []int
 }
 
-// Catalog returns the generator's catalogue.
-func (g *Generator) Catalog() *apps.Catalog { return g.catalog }
-
 // activeDayProb is the probability a data-active user produces wearable
 // traffic on the given day.
 func (g *Generator) activeDayProb(u *population.User, weekend bool) float64 {
@@ -243,18 +240,12 @@ func (g *Generator) activeDayProb(u *population.User, weekend bool) float64 {
 	return clamp(p, g.cfg.ActiveDayMin, g.cfg.ActiveDayMax)
 }
 
-// WearableDay generates the wearable's proxy transactions for one day.
-// visits (the user's movement that day) gates single-location users: their
-// transactions happen only while at the home sector. A nil result means an
-// inactive day.
-func (g *Generator) WearableDay(u *population.User, d simtime.Day, visits []mobility.Visit, r *randx.Rand) []proxylog.Record {
-	var s Scratch
-	return g.AppendWearableDay(nil, u, d, visits, r, &s)
-}
-
-// AppendWearableDay is WearableDay appending past len(dst) with per-worker
-// buffers: the generator sweep hands every day of a shard the same Scratch,
-// so a steady-state day allocates only when a session outgrows dst.
+// AppendWearableDay appends the wearable's proxy transactions for one day
+// past len(dst). visits (the user's movement that day) gates
+// single-location users: their transactions happen only while at the home
+// sector. An inactive day appends nothing. The generator sweep hands every
+// day of a shard the same per-worker Scratch, so a steady-state day
+// allocates only when a session outgrows dst.
 func (g *Generator) AppendWearableDay(dst []proxylog.Record, u *population.User, d simtime.Day,
 	visits []mobility.Visit, r *randx.Rand, s *Scratch) []proxylog.Record {
 	if !u.DataActive() || !u.WearableActiveOn(d) {

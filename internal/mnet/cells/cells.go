@@ -115,9 +115,6 @@ func (t *Topology) Sector(id SectorID) (Sector, bool) {
 	return t.sectors[i], true
 }
 
-// Sectors returns all sectors in ID order. Callers must not mutate it.
-func (t *Topology) Sectors() []Sector { return t.sectors }
-
 // DistanceKm returns the great-circle distance between two sectors. Unknown
 // IDs yield 0.
 func (t *Topology) DistanceKm(a, b SectorID) float64 {

@@ -49,8 +49,8 @@ func TestBuildDeterministic(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatal("lengths differ across identical builds")
 	}
-	for i, s := range a.Sectors() {
-		if b.Sectors()[i] != s {
+	for i, s := range a.sectors {
+		if b.sectors[i] != s {
 			t.Fatalf("sector %d differs", i)
 		}
 	}
@@ -76,7 +76,7 @@ func TestUrbanDensity(t *testing.T) {
 	capital := country.Cities[0]
 
 	inCapital := 0
-	for _, s := range topo.Sectors() {
+	for _, s := range topo.sectors {
 		if geo.DistanceKm(s.Pos, capital.Center) <= capital.RadiusKm*2 {
 			inCapital++
 		}
@@ -90,7 +90,7 @@ func TestUrbanDensity(t *testing.T) {
 	}
 	// City sectors carry their city name; rural do not.
 	named, rural := 0, 0
-	for _, s := range topo.Sectors() {
+	for _, s := range topo.sectors {
 		if s.City != "" {
 			named++
 		} else {
@@ -135,7 +135,7 @@ func queryPoints(topo *Topology, n int, seed uint64) []geo.Point {
 		north := -300 + r.Float64()*(country.HeightKm+600)
 		pts = append(pts, geo.Offset(country.Origin, east, north))
 	}
-	secs := topo.Sectors()
+	secs := topo.sectors
 	stride := max(1, len(secs)/1000)
 	for i, s := range secs {
 		pts = append(pts, s.Pos)
@@ -268,8 +268,8 @@ func TestTinyTopology(t *testing.T) {
 	if topo.Len() != 3 {
 		t.Fatalf("len = %d", topo.Len())
 	}
-	p := topo.Sectors()[2].Pos
-	if got := topo.Nearest(p); got != topo.Sectors()[2].ID {
+	p := topo.sectors[2].Pos
+	if got := topo.Nearest(p); got != topo.sectors[2].ID {
 		t.Fatalf("nearest to own position = %d", got)
 	}
 }

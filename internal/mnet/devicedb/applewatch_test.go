@@ -1,6 +1,10 @@
 package devicedb
 
-import "testing"
+import (
+	"testing"
+
+	"wearwild/internal/mnet/imei"
+)
 
 func TestDefaultWithAppleWatch(t *testing.T) {
 	db := DefaultWithAppleWatch()
@@ -18,7 +22,7 @@ func TestDefaultWithAppleWatch(t *testing.T) {
 	}
 	// Its TACs resolve as wearable.
 	for _, tac := range apple.TACs {
-		m, ok := db.LookupTAC(tac)
+		m, ok := db.Lookup(imei.MustNew(tac, 0))
 		if !ok || m.Class != WearableSIM {
 			t.Fatalf("TAC %s not a wearable", tac)
 		}
@@ -32,7 +36,7 @@ func TestDefaultWithAppleWatch(t *testing.T) {
 }
 
 func TestModelYearsPopulated(t *testing.T) {
-	for _, m := range Default().Models() {
+	for _, m := range Default().models {
 		if m.Year < 2010 || m.Year > 2018 {
 			t.Fatalf("model %q has implausible year %d", m.Name, m.Year)
 		}

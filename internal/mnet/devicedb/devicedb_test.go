@@ -51,7 +51,7 @@ func TestAddCopiesTACs(t *testing.T) {
 		t.Fatal(err)
 	}
 	tacs[0] = 9 // mutate caller slice
-	if _, ok := db.LookupTAC(7); !ok {
+	if _, ok := db.Lookup(imei.MustNew(7, 0)); !ok {
 		t.Fatal("db affected by caller mutation")
 	}
 }
@@ -85,21 +85,13 @@ func TestDefaultCatalog(t *testing.T) {
 	}
 }
 
-func TestWearableTACsSortedAndExclusive(t *testing.T) {
+func TestWearableTACsExclusive(t *testing.T) {
 	db := Default()
-	tacs := db.WearableTACs()
-	if len(tacs) == 0 {
-		t.Fatal("no wearable TACs")
-	}
-	for i := 1; i < len(tacs); i++ {
-		if tacs[i] <= tacs[i-1] {
-			t.Fatal("TACs not strictly increasing")
-		}
-	}
-	for _, tac := range tacs {
-		m, ok := db.LookupTAC(tac)
-		if !ok || m.Class != WearableSIM {
-			t.Fatalf("TAC %s resolves to %v", tac, m)
+	for _, m := range db.ModelsOfClass(WearableSIM) {
+		for _, tac := range m.TACs {
+			if !db.IsWearable(imei.MustNew(tac, 0)) {
+				t.Fatalf("wearable TAC %s not classified wearable", tac)
+			}
 		}
 	}
 	// No smartphone TAC may classify as wearable.

@@ -14,10 +14,10 @@ func ExampleNew() {
 		panic(err)
 	}
 	fmt.Println(id)
-	fmt.Println("TAC:", id.TAC(), "serial:", id.Serial(), "valid:", id.Valid())
+	fmt.Println("TAC:", id.TAC(), "valid:", id.Valid())
 	// Output:
 	// 358473091234564
-	// TAC: 35847309 serial: 123456 valid: true
+	// TAC: 35847309 valid: true
 }
 
 // ExampleParse validates a 15-digit identity, rejecting corrupted digits.

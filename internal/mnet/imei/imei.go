@@ -25,18 +25,6 @@ func (t TAC) String() string { return fmt.Sprintf("%08d", uint32(t)) }
 // Valid reports whether the TAC fits in 8 digits.
 func (t TAC) Valid() bool { return uint32(t) <= maxTAC }
 
-// ParseTAC parses an 8-digit TAC string.
-func ParseTAC(s string) (TAC, error) {
-	if len(s) != 8 {
-		return 0, fmt.Errorf("imei: TAC %q is not 8 digits", s)
-	}
-	v, err := strconv.ParseUint(s, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("imei: TAC %q: %v", s, err)
-	}
-	return TAC(v), nil
-}
-
 // IMEI is a full 15-digit equipment identity, stored as its numeric value.
 // The all-zero value is not a valid IMEI and doubles as "unknown".
 type IMEI uint64
@@ -112,38 +100,5 @@ func (i IMEI) Valid() bool {
 // TAC returns the type allocation code (first 8 digits).
 func (i IMEI) TAC() TAC { return TAC(uint64(i) / 10000000) }
 
-// Serial returns the 6-digit serial number.
-func (i IMEI) Serial() uint32 { return uint32(uint64(i) / 10 % 1000000) }
-
 // String renders the IMEI as its zero-padded 15-digit form.
 func (i IMEI) String() string { return fmt.Sprintf("%015d", uint64(i)) }
-
-// Range is a contiguous block of serial numbers under one TAC, the unit in
-// which operators allocate device identities. Lo and Hi are inclusive.
-type Range struct {
-	TAC TAC
-	Lo  uint32
-	Hi  uint32
-}
-
-// Contains reports whether the IMEI falls inside the range.
-func (r Range) Contains(i IMEI) bool {
-	return i.TAC() == r.TAC && i.Serial() >= r.Lo && i.Serial() <= r.Hi
-}
-
-// Size returns the number of identities in the range.
-func (r Range) Size() int {
-	if r.Hi < r.Lo {
-		return 0
-	}
-	return int(r.Hi-r.Lo) + 1
-}
-
-// Nth returns the nth IMEI of the range (0-based). It panics if n is out
-// of bounds, since allocation code always iterates within Size.
-func (r Range) Nth(n int) IMEI {
-	if n < 0 || n >= r.Size() {
-		panic(fmt.Sprintf("imei: index %d outside range of %d", n, r.Size()))
-	}
-	return MustNew(r.TAC, r.Lo+uint32(n))
-}

@@ -1,18 +1,16 @@
 package mme
 
 import (
-	"bufio"
-	"compress/gzip"
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"wearwild/internal/mnet/cells"
 	"wearwild/internal/mnet/imei"
+	"wearwild/internal/mnet/logfile"
 	"wearwild/internal/mnet/subs"
 )
 
@@ -119,49 +117,11 @@ func parseRow(row []string) (Record, error) {
 
 // WriteFile writes records to a file, gzip-compressed when the path ends
 // in ".gz".
-func WriteFile(path string, records []Record) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	bw := bufio.NewWriter(f)
-	var w io.Writer = bw
-	var gz *gzip.Writer
-	if strings.HasSuffix(path, ".gz") {
-		gz = gzip.NewWriter(bw)
-		w = gz
-	}
-	if err := WriteCSV(w, records); err != nil {
-		return err
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+func WriteFile(path string, records []Record) error {
+	return logfile.Write(path, func(w io.Writer) error { return WriteCSV(w, records) })
 }
 
 // ReadFile reads a file written by WriteFile.
 func ReadFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var r io.Reader = bufio.NewReader(f)
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close() //wearlint:ignore errdrop read-side gzip close; corruption already surfaces as Read errors
-		r = gz
-	}
-	return ReadCSV(r)
+	return logfile.Read(path, ReadCSV)
 }

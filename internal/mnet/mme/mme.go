@@ -69,9 +69,6 @@ type Log struct {
 	Records []Record
 }
 
-// Append adds a record.
-func (l *Log) Append(r Record) { l.Records = append(l.Records, r) }
-
 // Len returns the record count.
 func (l *Log) Len() int { return len(l.Records) }
 
@@ -83,14 +80,4 @@ func (l *Log) Sorted() bool {
 		}
 	}
 	return true
-}
-
-// ByUser groups record indices per subscriber, preserving order.
-func (l *Log) ByUser() map[subs.IMSI][]Record {
-	out := make(map[subs.IMSI][]Record)
-	for _, r := range l.Records {
-		//wearlint:ignore growbound ByUser regroups an already-resident log; no growth beyond the input it was handed
-		out[r.IMSI] = append(out[r.IMSI], r)
-	}
-	return out
 }

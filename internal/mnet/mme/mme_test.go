@@ -39,11 +39,7 @@ func TestEventStringRoundTrip(t *testing.T) {
 
 func TestLogSort(t *testing.T) {
 	recs := sampleRecords()
-	var l Log
-	l.Append(recs[2])
-	l.Append(recs[0])
-	l.Append(recs[3])
-	l.Append(recs[1])
+	l := Log{Records: []Record{recs[2], recs[0], recs[3], recs[1]}}
 	if l.Sorted() {
 		t.Fatal("scrambled log reported sorted")
 	}
@@ -53,22 +49,6 @@ func TestLogSort(t *testing.T) {
 	}
 	if l.Len() != 4 {
 		t.Fatalf("len = %d", l.Len())
-	}
-}
-
-func TestByUser(t *testing.T) {
-	l := Log{Records: sampleRecords()}
-	by := l.ByUser()
-	if len(by) != 2 {
-		t.Fatalf("users = %d", len(by))
-	}
-	if got := len(by[subs.MustNew(1)]); got != 3 {
-		t.Fatalf("user1 records = %d", got)
-	}
-	// Order preserved per user.
-	u1 := by[subs.MustNew(1)]
-	if u1[0].Event != Attach || u1[2].Event != Detach {
-		t.Fatal("per-user order lost")
 	}
 }
 

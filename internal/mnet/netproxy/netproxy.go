@@ -638,15 +638,3 @@ func isTimeout(err error) bool {
 }
 
 func nanoTime(ns int64) time.Time { return time.Unix(0, ns) }
-
-// ListenAndServe is a convenience: listen on addr and serve until Close.
-func (p *Proxy) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return p.Serve(ln)
-}
-
-// ErrClosed is returned by helpers once the proxy shut down.
-var ErrClosed = errors.New("netproxy: closed")

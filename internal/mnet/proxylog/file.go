@@ -1,78 +1,40 @@
 package proxylog
 
 import (
-	"bufio"
-	"compress/gzip"
 	"fmt"
 	"io"
-	"os"
 	"strings"
+
+	"wearwild/internal/mnet/logfile"
 )
 
 // WriteFile writes records to a file. The format is chosen by extension:
 // ".csv" or ".bin", optionally followed by ".gz" for gzip compression.
-func WriteFile(path string, records []Record) (err error) {
-	f, err := os.Create(path)
+func WriteFile(path string, records []Record) error {
+	write, _, err := codecFor(path)
 	if err != nil {
 		return err
 	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	bw := bufio.NewWriter(f)
-	var w io.Writer = bw
-	var gz *gzip.Writer
-	name := path
-	if strings.HasSuffix(name, ".gz") {
-		gz = gzip.NewWriter(bw)
-		w = gz
-		name = strings.TrimSuffix(name, ".gz")
-	}
-	switch {
-	case strings.HasSuffix(name, ".csv"):
-		err = WriteCSV(w, records)
-	case strings.HasSuffix(name, ".bin"):
-		err = WriteBinary(w, records)
-	default:
-		err = fmt.Errorf("proxylog: unknown log extension in %q", path)
-	}
-	if err != nil {
-		return err
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return logfile.Write(path, func(w io.Writer) error { return write(w, records) })
 }
 
 // ReadFile reads a file written by WriteFile.
 func ReadFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
+	_, read, err := codecFor(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var r io.Reader = bufio.NewReader(f)
-	name := path
-	if strings.HasSuffix(name, ".gz") {
-		gz, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close() //wearlint:ignore errdrop read-side gzip close; corruption already surfaces as Read errors
-		r = gz
-		name = strings.TrimSuffix(name, ".gz")
-	}
-	switch {
+	return logfile.Read(path, read)
+}
+
+// codecFor picks the encoding named by the extension under an optional
+// ".gz".
+func codecFor(path string) (func(io.Writer, []Record) error, func(io.Reader) ([]Record, error), error) {
+	switch name := strings.TrimSuffix(path, ".gz"); {
 	case strings.HasSuffix(name, ".csv"):
-		return ReadCSV(r)
+		return WriteCSV, ReadCSV, nil
 	case strings.HasSuffix(name, ".bin"):
-		return ReadBinary(r)
-	default:
-		return nil, fmt.Errorf("proxylog: unknown log extension in %q", path)
+		return WriteBinary, ReadBinary, nil
 	}
+	return nil, nil, fmt.Errorf("proxylog: unknown log extension in %q", path)
 }

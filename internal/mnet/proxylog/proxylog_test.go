@@ -41,12 +41,6 @@ func TestRecordHelpers(t *testing.T) {
 	if r.Bytes() != 10480 {
 		t.Fatalf("bytes = %d", r.Bytes())
 	}
-	if got := r.URL(); got != "http://cdn.example.net/assets/icon.png" {
-		t.Fatalf("url = %s", got)
-	}
-	if got := sampleRecords()[0].URL(); got != "https://api.weather.example.com" {
-		t.Fatalf("https url = %s", got)
-	}
 }
 
 func TestValidate(t *testing.T) {
@@ -334,29 +328,22 @@ func TestFileRoundTripAllFormats(t *testing.T) {
 	if err := WriteFile(filepath.Join(dir, "p.weird"), recs); err == nil {
 		t.Fatal("unknown extension accepted for write")
 	}
+	if _, err := ReadFile(filepath.Join(dir, "p.weird")); err == nil {
+		t.Fatal("unknown extension accepted for read")
+	}
 	if _, err := ReadFile(filepath.Join(dir, "missing.csv")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
 
 func TestLogHelpers(t *testing.T) {
-	var l Log
 	recs := sampleRecords()
-	l.Append(recs[2])
-	l.Append(recs[0])
+	l := Log{Records: []Record{recs[2], recs[0]}}
 	if l.Sorted() {
 		t.Fatal("unsorted log reported sorted")
 	}
 	l.Records[0], l.Records[1] = l.Records[1], l.Records[0]
 	if !l.Sorted() || l.Len() != 2 {
 		t.Fatal("chronological log reported unsorted")
-	}
-	by := l.ByUser()
-	if len(by) != 2 {
-		t.Fatalf("users = %d", len(by))
-	}
-	wantBytes := recs[2].Bytes() + recs[0].Bytes()
-	if l.TotalBytes() != wantBytes {
-		t.Fatalf("total bytes = %d, want %d", l.TotalBytes(), wantBytes)
 	}
 }

@@ -38,9 +38,6 @@ func MustNew(msin uint64) IMSI {
 // MSIN returns the subscriber-specific part.
 func (i IMSI) MSIN() uint64 { return uint64(i) % msinLimit }
 
-// Home reports whether the IMSI carries the home-network prefix.
-func (i IMSI) Home() bool { return uint64(i)/msinLimit == HomePrefix }
-
 // String renders the 15-digit form.
 func (i IMSI) String() string { return fmt.Sprintf("%015d", uint64(i)) }
 

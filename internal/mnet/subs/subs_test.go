@@ -13,7 +13,7 @@ func TestNewAndAccessors(t *testing.T) {
 	if id.MSIN() != 42 {
 		t.Fatalf("msin = %d", id.MSIN())
 	}
-	if !id.Home() {
+	if uint64(id)/msinLimit != HomePrefix {
 		t.Fatal("home prefix missing")
 	}
 	if len(id.String()) != 15 {
@@ -48,7 +48,7 @@ func TestRoundTripProperty(t *testing.T) {
 		msin := raw % msinLimit
 		id := MustNew(msin)
 		parsed, err := Parse(id.String())
-		return err == nil && parsed == id && parsed.MSIN() == msin && parsed.Home()
+		return err == nil && parsed == id && parsed.MSIN() == msin && uint64(parsed)/msinLimit == HomePrefix
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -8,17 +8,15 @@
 package udr
 
 import (
-	"bufio"
 	"cmp"
-	"compress/gzip"
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 
 	"wearwild/internal/mnet/imei"
+	"wearwild/internal/mnet/logfile"
 	"wearwild/internal/mnet/subs"
 	"wearwild/internal/simtime"
 )
@@ -48,9 +46,6 @@ type Log struct {
 	Records []Record
 }
 
-// Append adds a record.
-func (l *Log) Append(r Record) { l.Records = append(l.Records, r) }
-
 // Len returns the record count.
 func (l *Log) Len() int { return len(l.Records) }
 
@@ -58,16 +53,6 @@ func (l *Log) Len() int { return len(l.Records) }
 // The key is unique within a log: one aggregate per device and week.
 func Compare(a, b Record) int {
 	return cmp.Or(cmp.Compare(a.Week, b.Week), cmp.Compare(a.IMSI, b.IMSI), cmp.Compare(a.IMEI, b.IMEI))
-}
-
-// ByUser groups records per subscriber.
-func (l *Log) ByUser() map[subs.IMSI][]Record {
-	out := make(map[subs.IMSI][]Record)
-	for _, r := range l.Records {
-		//wearlint:ignore growbound ByUser regroups an already-resident log; no growth beyond the input it was handed
-		out[r.IMSI] = append(out[r.IMSI], r)
-	}
-	return out
 }
 
 var csvHeader = []string{"week", "imsi", "imei", "bytes", "tx"}
@@ -158,49 +143,11 @@ func ReadCSV(r io.Reader) ([]Record, error) {
 }
 
 // WriteFile writes records to a file, gzip-compressed for ".gz" paths.
-func WriteFile(path string, records []Record) (err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}()
-	bw := bufio.NewWriter(f)
-	var w io.Writer = bw
-	var gz *gzip.Writer
-	if strings.HasSuffix(path, ".gz") {
-		gz = gzip.NewWriter(bw)
-		w = gz
-	}
-	if err := WriteCSV(w, records); err != nil {
-		return err
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+func WriteFile(path string, records []Record) error {
+	return logfile.Write(path, func(w io.Writer) error { return WriteCSV(w, records) })
 }
 
 // ReadFile reads a file written by WriteFile.
 func ReadFile(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var r io.Reader = bufio.NewReader(f)
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(r)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close() //wearlint:ignore errdrop read-side gzip close; corruption already surfaces as Read errors
-		r = gz
-	}
-	return ReadCSV(r)
+	return logfile.Read(path, ReadCSV)
 }

@@ -41,22 +41,15 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestSortAndGroup(t *testing.T) {
-	var l Log
+func TestSortOrder(t *testing.T) {
 	recs := sampleRecords()
-	l.Append(recs[2])
-	l.Append(recs[1])
-	l.Append(recs[0])
+	l := Log{Records: []Record{recs[2], recs[1], recs[0]}}
 	slices.SortFunc(l.Records, Compare)
 	if l.Records[0].Week != 0 || l.Records[0].IMSI != subs.MustNew(1) {
 		t.Fatalf("sort order wrong: %+v", l.Records[0])
 	}
 	if l.Records[2].Week != 1 {
 		t.Fatal("week ordering wrong")
-	}
-	by := l.ByUser()
-	if len(by) != 2 || len(by[subs.MustNew(1)]) != 2 {
-		t.Fatal("grouping wrong")
 	}
 	if l.Len() != 3 {
 		t.Fatal("len wrong")

@@ -75,7 +75,11 @@ func TestSampleKDistinct(t *testing.T) {
 func TestSampleKBiasTowardHeavy(t *testing.T) {
 	// Rank 0 has weight far above rank 29, so it should nearly always be in
 	// a small sample.
-	c := MustCategorical(ExpDecayWeights(30, 0.6))
+	w := make([]float64, 30)
+	for i := range w {
+		w[i] = math.Pow(0.6, float64(i))
+	}
+	c := MustCategorical(w)
 	r := New(23)
 	hit := 0
 	const trials = 2000

@@ -60,17 +60,11 @@ func (r *Rand) Float64() float64 { return r.src.Float64() }
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) IntN(n int) int { return r.src.IntN(n) }
 
-// Int64N returns a uniform value in [0, n). It panics if n <= 0.
-func (r *Rand) Int64N(n int64) int64 { return r.src.Int64N(n) }
-
 // Uint64 returns a uniform 64-bit value.
 func (r *Rand) Uint64() uint64 { return r.src.Uint64() }
 
 // NormFloat64 returns a standard normal variate.
 func (r *Rand) NormFloat64() float64 { return r.src.NormFloat64() }
-
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Rand) ExpFloat64() float64 { return r.src.ExpFloat64() }
 
 // Bool returns true with probability p (clamped to [0, 1]).
 func (r *Rand) Bool(p float64) bool {
@@ -110,11 +104,6 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// Exponential returns an exponential variate with the given mean.
-func (r *Rand) Exponential(mean float64) float64 {
-	return mean * r.src.ExpFloat64()
-}
-
 // Poisson returns a Poisson variate with the given mean. It uses Knuth's
 // product method for small means and a normal approximation (rounded and
 // clamped at zero) for large ones, which is adequate for workload counts.
@@ -141,23 +130,10 @@ func (r *Rand) Poisson(mean float64) int {
 	}
 }
 
-// Geometric returns the number of failures before the first success in a
-// Bernoulli(p) sequence. p must be in (0, 1].
-func (r *Rand) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	u := r.src.Float64()
-	return int(math.Floor(math.Log1p(-u) / math.Log1p(-p)))
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
-
 // PermInto fills dst with a random permutation of [0, n), reusing dst's
 // backing array when it has capacity. The draw sequence is identical to
-// Perm's (an identity fill followed by a Fisher–Yates shuffle), so the two
-// are interchangeable without perturbing the stream.
+// math/rand/v2's Rand.Perm (an identity fill followed by a Fisher–Yates
+// shuffle), so it replaces a Perm draw without perturbing the stream.
 func (r *Rand) PermInto(dst []int, n int) []int {
 	dst = slices.Grow(dst[:0], n)[:n]
 	for i := range dst {
@@ -181,27 +157,6 @@ func ZipfWeights(n int, s float64) []float64 {
 	for i := range w {
 		w[i] = 1 / math.Pow(float64(i+1), s)
 		sum += w[i]
-	}
-	for i := range w {
-		w[i] /= sum
-	}
-	return w
-}
-
-// ExpDecayWeights returns weights proportional to decay^rank, normalised to
-// sum to 1. Used for the exponentially decreasing app popularity the paper
-// observes in Fig 5(a).
-func ExpDecayWeights(n int, decay float64) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	w := make([]float64, n)
-	var sum float64
-	v := 1.0
-	for i := range w {
-		w[i] = v
-		sum += v
-		v *= decay
 	}
 	for i := range w {
 		w[i] /= sum

@@ -118,28 +118,6 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
-func TestGeometric(t *testing.T) {
-	r := New(19)
-	const p = 0.25
-	const n = 40000
-	var sum float64
-	for i := 0; i < n; i++ {
-		g := r.Geometric(p)
-		if g < 0 {
-			t.Fatalf("negative geometric %d", g)
-		}
-		sum += float64(g)
-	}
-	want := (1 - p) / p // = 3
-	got := sum / n
-	if math.Abs(got-want) > 0.15 {
-		t.Fatalf("geometric mean = %.3f, want %.3f", got, want)
-	}
-	if r.Geometric(1) != 0 {
-		t.Fatal("geometric(1) must be 0")
-	}
-}
-
 func TestZipfWeights(t *testing.T) {
 	w := ZipfWeights(5, 1)
 	if len(w) != 5 {
@@ -163,39 +141,20 @@ func TestZipfWeights(t *testing.T) {
 	}
 }
 
-func TestExpDecayWeights(t *testing.T) {
-	w := ExpDecayWeights(4, 0.5)
-	var sum float64
-	for _, v := range w {
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Fatalf("sum = %g", sum)
-	}
-	if math.Abs(w[0]/w[1]-2) > 1e-12 {
-		t.Fatalf("decay ratio wrong: %g", w[0]/w[1])
-	}
-}
-
-// Property: weights produced by both weight helpers are a valid simplex for
-// any size and parameter in range.
+// Property: ZipfWeights is a valid simplex for any size and shape in
+// range.
 func TestWeightsSimplexProperty(t *testing.T) {
 	f := func(n uint8, s uint8) bool {
 		size := int(n%50) + 1
 		shape := 0.1 + float64(s%30)/10
-		for _, w := range [][]float64{ZipfWeights(size, shape), ExpDecayWeights(size, 0.3+float64(s%7)/10)} {
-			var sum float64
-			for _, v := range w {
-				if v < 0 || math.IsNaN(v) {
-					return false
-				}
-				sum += v
-			}
-			if math.Abs(sum-1) > 1e-9 {
+		var sum float64
+		for _, v := range ZipfWeights(size, shape) {
+			if v < 0 || math.IsNaN(v) {
 				return false
 			}
+			sum += v
 		}
-		return true
+		return math.Abs(sum-1) <= 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -209,13 +168,14 @@ func median(v []float64) float64 {
 }
 
 // TestPermIntoMatchesPerm pins PermInto's contract: same permutation and
-// same post-call stream state as Perm, with the slab reused across calls.
+// same post-call stream state as math/rand/v2's Perm on the same stream,
+// with the slab reused across calls.
 func TestPermIntoMatchesPerm(t *testing.T) {
 	var slab []int
 	for n := 0; n < 40; n++ {
 		a := New(7).Split("perm", uint64(n))
 		b := New(7).Split("perm", uint64(n))
-		want := a.Perm(n)
+		want := a.src.Perm(n)
 		slab = b.PermInto(slab, n)
 		if len(want) != len(slab) {
 			t.Fatalf("n=%d: lengths differ: %d vs %d", n, len(want), len(slab))

@@ -31,9 +31,6 @@ const (
 // StudyDays is the number of days in the full window.
 const StudyDays = StudyWeeks * DaysPerWeek
 
-// StudyHours is the number of hours in the full window.
-const StudyHours = StudyDays * HoursPerDay
-
 // DetailDays is the number of days in the detailed window.
 const DetailDays = DetailWeeks * DaysPerWeek
 
@@ -54,9 +51,6 @@ func (h Hour) Time() time.Time { return Epoch.Add(time.Duration(h) * time.Hour) 
 
 // Day returns the day the hour falls in.
 func (h Hour) Day() Day { return Day(int(h) / HoursPerDay) }
-
-// OfDay returns the hour of day in [0, 24).
-func (h Hour) OfDay() int { return int(h) % HoursPerDay }
 
 // Day and week arithmetic.
 

@@ -35,11 +35,8 @@ func TestWindowSizes(t *testing.T) {
 
 func TestHourDayRoundTrip(t *testing.T) {
 	f := func(raw uint16) bool {
-		h := Hour(raw % StudyHours)
+		h := Hour(int(raw) % (StudyDays * HoursPerDay))
 		d := h.Day()
-		if h.OfDay() < 0 || h.OfDay() >= 24 {
-			return false
-		}
 		if d.Start() > h || d.Start()+HoursPerDay <= h {
 			return false
 		}

@@ -1,6 +1,6 @@
 // Package stats implements the descriptive statistics the study pipeline
-// reports: empirical CDFs, quantiles, histograms, correlation coefficients,
-// Shannon entropy and streaming summary accumulators.
+// reports: empirical CDFs, quantiles, log-binned histograms, correlation
+// coefficients, Shannon entropy and streaming summary accumulators.
 //
 // The package is deliberately free of any wearwild domain types so that it
 // is reusable and trivially property-testable.
@@ -11,27 +11,16 @@ import (
 	"sort"
 )
 
-// Summary accumulates count/mean/variance/min/max in one pass using
-// Welford's algorithm. The zero value is ready to use.
+// Summary accumulates count/mean/variance in one pass using Welford's
+// algorithm. The zero value is ready to use.
 type Summary struct {
 	n        int
 	mean, m2 float64
-	min, max float64
 }
 
 // Add folds one observation into the summary.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
@@ -57,12 +46,6 @@ func (s *Summary) Var() float64 {
 // Std returns the sample standard deviation.
 func (s *Summary) Std() float64 { return math.Sqrt(s.Var()) }
 
-// Min returns the smallest observation (0 for an empty summary).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest observation (0 for an empty summary).
-func (s *Summary) Max() float64 { return s.max }
-
 // Merge folds another summary into s.
 func (s *Summary) Merge(o Summary) {
 	if o.n == 0 {
@@ -78,12 +61,6 @@ func (s *Summary) Merge(o Summary) {
 	s.m2 += o.m2 + d*d*n1*n2/tot
 	s.mean += d * n2 / tot
 	s.n += o.n
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
 }
 
 // ECDF is an empirical cumulative distribution function over a sample.
@@ -97,129 +74,6 @@ func NewECDF(sample []float64) *ECDF {
 	s := append([]float64(nil), sample...)
 	sort.Float64s(s)
 	return &ECDF{sorted: s}
-}
-
-// ecdfVerifyProbes bounds the order check NewECDFSorted runs in normal
-// builds: the two end pairs plus this many evenly spaced adjacent pairs.
-const ecdfVerifyProbes = 64
-
-// ecdfFullVerify restores the exhaustive O(n) order check. It exists for
-// tests (and debugging sessions) that want the original hard guarantee;
-// the production path only samples, because a full scan of every adopted
-// sample defeats the point of the copy-free constructor.
-var ecdfFullVerify = false
-
-// NewECDFSorted adopts an already-sorted sample without copying or
-// re-sorting; the caller must not mutate it afterwards. This is the cheap
-// path for shard-and-merge producers whose k-way merge emits sorted data.
-// Order is sample-verified (both ends plus evenly spaced probes) and the
-// constructor panics on any violation it sees, since a silently unsorted
-// ECDF corrupts every quantile; the exhaustive scan runs only under
-// ecdfFullVerify. The property test pins equivalence with NewECDF.
-func NewECDFSorted(sorted []float64) *ECDF {
-	verifySortedSample(sorted)
-	return &ECDF{sorted: sorted}
-}
-
-func verifySortedSample(s []float64) {
-	n := len(s)
-	if n < 2 {
-		return
-	}
-	if ecdfFullVerify || n <= ecdfVerifyProbes+2 {
-		for i := 1; i < n; i++ {
-			if s[i] < s[i-1] {
-				panic("stats: NewECDFSorted on unsorted sample")
-			}
-		}
-		return
-	}
-	if s[1] < s[0] || s[n-1] < s[n-2] {
-		panic("stats: NewECDFSorted on unsorted sample")
-	}
-	for k := 0; k < ecdfVerifyProbes; k++ {
-		i := 2 + k*(n-3)/ecdfVerifyProbes
-		if s[i] < s[i-1] {
-			panic("stats: NewECDFSorted on unsorted sample")
-		}
-	}
-}
-
-// MergeSorted k-way merges sorted slices into one sorted slice using a
-// binary heap of slice heads: O(total·log k) instead of the linear scan
-// over all heads per emitted element. The result equals sorting the
-// concatenation (ties break toward the lower slice index, matching a
-// left-to-right strict-min scan), so ECDFs built from merged shard output
-// match the sequential path exactly.
-func MergeSorted(parts [][]float64) []float64 {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]float64, 0, total)
-
-	// heap entries: (head value, slice index); heads[i] tracks how far
-	// slice i has been consumed.
-	type head struct {
-		v float64
-		i int
-	}
-	heads := make([]int, len(parts))
-	h := make([]head, 0, len(parts))
-	less := func(a, b head) bool {
-		if a.v != b.v {
-			return a.v < b.v
-		}
-		return a.i < b.i
-	}
-	up := func(j int) {
-		for j > 0 {
-			p := (j - 1) / 2
-			if !less(h[j], h[p]) {
-				return
-			}
-			h[j], h[p] = h[p], h[j]
-			j = p
-		}
-	}
-	down := func(j int) {
-		for {
-			l, r := 2*j+1, 2*j+2
-			m := j
-			if l < len(h) && less(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && less(h[r], h[m]) {
-				m = r
-			}
-			if m == j {
-				return
-			}
-			h[j], h[m] = h[m], h[j]
-			j = m
-		}
-	}
-	for i, p := range parts {
-		if len(p) > 0 {
-			h = append(h, head{p[0], i})
-			up(len(h) - 1)
-		}
-	}
-	for len(h) > 0 {
-		top := h[0]
-		out = append(out, top.v)
-		heads[top.i]++
-		if heads[top.i] < len(parts[top.i]) {
-			h[0] = head{parts[top.i][heads[top.i]], top.i}
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		if len(h) > 0 {
-			down(0)
-		}
-	}
-	return out
 }
 
 // N returns the sample size.
@@ -369,63 +223,4 @@ func Entropy(weights []float64) float64 {
 		h = 0
 	}
 	return h
-}
-
-// Gini returns the Gini coefficient of a non-negative sample: 0 for
-// perfectly equal values, approaching 1 as mass concentrates. Used to
-// characterise app-popularity skew.
-func Gini(sample []float64) float64 {
-	n := len(sample)
-	if n == 0 {
-		return 0
-	}
-	s := append([]float64(nil), sample...)
-	sort.Float64s(s)
-	var cum, total float64
-	for i, v := range s {
-		cum += v * float64(i+1)
-		total += v
-	}
-	if total == 0 {
-		return 0
-	}
-	return (2*cum)/(float64(n)*total) - float64(n+1)/float64(n)
-}
-
-// Normalize returns the vector scaled so its maximum is 1, mirroring how
-// the paper normalises confidential absolute counts "by the value of the
-// maximum user". A zero vector is returned unchanged.
-func Normalize(v []float64) []float64 {
-	var max float64
-	for _, x := range v {
-		if x > max {
-			max = x
-		}
-	}
-	out := make([]float64, len(v))
-	if max == 0 {
-		return out
-	}
-	for i, x := range v {
-		out[i] = x / max
-	}
-	return out
-}
-
-// Shares returns the vector scaled to sum to 1 (a probability vector), the
-// "percentage of daily total" normalisation used throughout the paper's
-// application analysis. A zero vector is returned unchanged.
-func Shares(v []float64) []float64 {
-	var sum float64
-	for _, x := range v {
-		sum += x
-	}
-	out := make([]float64, len(v))
-	if sum == 0 {
-		return out
-	}
-	for i, x := range v {
-		out[i] = x / sum
-	}
-	return out
 }

@@ -1,9 +1,9 @@
 // Package stream defines the single record-stream interface the study
 // engine consumes: one callback per proxy, MME and UDR record, plus a
-// per-subscriber completion hint. Every data source — the traffic
-// generator, the binary/CSV log decoders and the resident in-memory logs
-// — implements Source, so the engine never needs a materialised whole
-// log.
+// per-subscriber completion hint. Both data sources — the traffic
+// generator and the resident logs of a generated or loaded dataset —
+// implement Source, so the engine takes one record at a time and never
+// indexes a whole log.
 package stream
 
 import (
@@ -19,9 +19,11 @@ import (
 // UserDone tells the sink that no further record for the subscriber will
 // arrive on any of the three feeds. User-major sources (the generator,
 // the resident log source) call it right after a subscriber's records, so
-// the consumer can fold and evict that subscriber's state immediately;
-// record-major sources (the file decoders) never call it and the consumer
-// evicts everything when Stream returns. User-major sources must emit
+// the consumer can fold and evict that subscriber's state immediately.
+// A record-major source, which interleaves subscribers (as a decoder
+// streaming a saved file in file order would), never calls it, and the
+// consumer evicts everything when Stream returns; no such source ships
+// today, but the engine honours the contract. User-major sources must emit
 // subscribers in ascending IMSI order — the equivalence suite pins
 // cross-source byte-identity on top of that contract.
 //

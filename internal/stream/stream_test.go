@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"reflect"
@@ -126,38 +125,5 @@ func TestLogsSinkErrorAborts(t *testing.T) {
 	}
 	if len(sink.events) != 2 {
 		t.Fatalf("stream continued past the failing callback: %v", sink.events)
-	}
-}
-
-// TestReadersRoundTrip serialises all three logs and streams them back
-// through the codec Stream functions: every record survives byte-exact,
-// in file order, and no UserDone is ever emitted (record-major contract).
-func TestReadersRoundTrip(t *testing.T) {
-	logs := testLogs()
-	var pbuf, mbuf, ubuf bytes.Buffer
-	if err := proxylog.WriteBinary(&pbuf, logs.Proxy.Records); err != nil {
-		t.Fatal(err)
-	}
-	if err := mme.WriteCSV(&mbuf, logs.MME.Records); err != nil {
-		t.Fatal(err)
-	}
-	if err := udr.WriteCSV(&ubuf, logs.UDR.Records); err != nil {
-		t.Fatal(err)
-	}
-	sink := &traceSink{}
-	r := &Readers{ProxyBinary: &pbuf, MMECSV: &mbuf, UDRCSV: &ubuf}
-	if err := r.Stream(sink); err != nil {
-		t.Fatal(err)
-	}
-	want := []event{
-		{"proxy", 7, "a"},
-		{"proxy", 3, "b"},
-		{"proxy", 7, "c"},
-		{"mme", 3, "11"},
-		{"mme", 7, "12"},
-		{"udr", 3, "5"},
-	}
-	if !reflect.DeepEqual(sink.events, want) {
-		t.Fatalf("decoded stream:\n got %v\nwant %v", sink.events, want)
 	}
 }

@@ -46,7 +46,7 @@ func TestCollectActivity(t *testing.T) {
 	if a.ActiveDays() != 2 {
 		t.Fatalf("active days = %d", a.ActiveDays())
 	}
-	if got := a.HoursOn(105); got != 2 { // hours 8 and 9
+	if got := len(a.hours[105]); got != 2 { // hours 8 and 9
 		t.Fatalf("hours on day 105 = %d", got)
 	}
 	if got := a.TotalActiveHours(); got != 3 {
@@ -60,9 +60,6 @@ func TestCollectActivity(t *testing.T) {
 	}
 	if got := a.DaysPerWeek(2); got != 1 {
 		t.Fatalf("days/week = %g", got)
-	}
-	if got := a.TxOn(105); got != 3 {
-		t.Fatalf("tx on day 105 = %d", got)
 	}
 	hpd := a.HoursPerActiveDay()
 	if len(hpd) != 2 || hpd[0] != 2 || hpd[1] != 1 {

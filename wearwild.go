@@ -39,7 +39,8 @@ type Dataset = sim.Dataset
 // per-figure structures.
 type Results = core.Results
 
-// StudyConfig tunes the analysis (session gap, CDF resolution).
+// StudyConfig tunes the analysis: the session gap, plus worker and shard
+// counts that change only the execution schedule.
 type StudyConfig = core.Config
 
 // Evaluated pairs one experiment with its paper-vs-measured metrics.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestFacadeEndToEnd exercises the whole public API surface on a small
@@ -63,18 +64,33 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// TestStudyWithCustomConfig runs the study with a wider session gap, as
+// examples/apps does: merged usages are fewer, and each carries more
+// transactions.
 func TestStudyWithCustomConfig(t *testing.T) {
 	ds, err := Generate(SmallConfig(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultStudyConfig()
-	cfg.CDFPoints = 10
-	res, err := RunStudyWith(ds, cfg)
-	if err != nil {
-		t.Fatal(err)
+	usages := func(gap time.Duration) (n int, tx float64) {
+		cfg := DefaultStudyConfig()
+		cfg.SessionGap = gap
+		res, err := RunStudyWith(ds, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range res.Fig7 {
+			n += row.UsageSamples
+			tx += row.TxPerUsage * float64(row.UsageSamples)
+		}
+		return n, tx
 	}
-	if len(res.Fig3c.SizeCDF.X) > 10 {
-		t.Fatalf("CDF resolution not honoured: %d points", len(res.Fig3c.SizeCDF.X))
+	n1, tx1 := usages(time.Minute)
+	n5, tx5 := usages(5 * time.Minute)
+	if n1 == 0 || n5 >= n1 {
+		t.Fatalf("usages: %d at a 1 min gap, %d at 5 min; want fewer at 5 min", n1, n5)
+	}
+	if tx5/float64(n5) <= tx1/float64(n1) {
+		t.Fatalf("tx per usage: %.2f at a 1 min gap, %.2f at 5 min; want more at 5 min", tx1/float64(n1), tx5/float64(n5))
 	}
 }
