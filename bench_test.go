@@ -82,11 +82,14 @@ func BenchmarkStudyFull(b *testing.B) {
 
 // BenchmarkStudyFullParallel sweeps the analysis worker bound over the
 // same dataset. Results are byte-identical at every setting (see
-// TestParallelEquivalence); the sweep quantifies the shard-and-merge
-// speedup on this machine's cores.
+// TestParallelEquivalence); the sweep quantifies the per-user handoff
+// speedup on this machine's cores, each setting once.
 func BenchmarkStudyFullParallel(b *testing.B) {
 	benchSetup(b)
-	sweep := []int{1, 2, runtime.NumCPU()}
+	sweep := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		sweep = append(sweep, n)
+	}
 	for _, workers := range sweep {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := core.DefaultConfig()

@@ -302,9 +302,10 @@ func (a *shardAcc) merge(o *shardAcc) {
 }
 
 // addUser folds one subscriber's complete record bundle into the shard
-// accumulator and discards the records: the single eviction point that
-// keeps the engine's residency per-population instead of per-log.
-func (e *engine) addUser(acc *shardAcc, user subs.IMSI, b *userBundle) {
+// accumulator: the single eviction point that keeps the engine's residency
+// per-population instead of per-log.
+func (e *engine) addUser(acc *shardAcc, b *userBundle) {
+	user := b.user
 	st := &userStat{}
 	db := e.env.Devices
 
@@ -327,8 +328,11 @@ func (e *engine) addUser(acc *shardAcc, user subs.IMSI, b *userBundle) {
 	for i := range b.mme {
 		classify(b.mme[i].IMEI)
 	}
-	for i := range b.proxy {
-		classify(b.proxy[i].IMEI)
+	for i := range b.wear {
+		classify(b.wear[i].IMEI)
+	}
+	for i := range b.phone {
+		classify(b.phone[i].IMEI)
 	}
 	for i := range b.udr {
 		classify(b.udr[i].IMEI)
@@ -337,23 +341,13 @@ func (e *engine) addUser(acc *shardAcc, user subs.IMSI, b *userBundle) {
 		acc.wearUsers++
 	}
 
-	// Proxy split: wearable-device records vs the handset baseline.
-	var wearRecs, phoneRecs []proxylog.Record
-	for _, rec := range b.proxy {
-		if db.IsWearable(rec.IMEI) {
-			wearRecs = append(wearRecs, rec)
-		} else {
-			phoneRecs = append(phoneRecs, rec)
-		}
-	}
-
 	e.addPresence(acc, b.mme)
 	e.addUDR(acc, st, b.udr)
-	e.addWearTraffic(acc, st, wearRecs)
-	e.addPhoneTraffic(acc, st, phoneRecs)
-	e.addApps(acc, st, user, wearRecs)
-	e.addMobility(acc, st, user, b.mme, wearRecs)
-	e.addThroughDevice(acc, st, b.proxy)
+	e.addWearTraffic(acc, st, b.wear)
+	e.addPhoneTraffic(acc, st, b.phone)
+	e.addApps(acc, st, user, b.wear)
+	e.addMobility(acc, st, b.mme, b.wear)
+	e.addThroughDevice(acc, st, b.wear, b.phone)
 
 	acc.stats[user] = st
 }
@@ -609,7 +603,7 @@ func (e *engine) addApps(acc *shardAcc, st *userStat, user subs.IMSI, recs []pro
 
 // addMobility folds the user's mobility profiles (Fig 4c/4d) and the
 // tx-to-sector join behind the single-location takeaway (§4.4).
-func (e *engine) addMobility(acc *shardAcc, st *userStat, user subs.IMSI, mmeRecs []mme.Record, wearRecs []proxylog.Record) {
+func (e *engine) addMobility(acc *shardAcc, st *userStat, mmeRecs []mme.Record, wearRecs []proxylog.Record) {
 	if len(mmeRecs) == 0 {
 		return
 	}
@@ -640,8 +634,7 @@ func (e *engine) addMobility(acc *shardAcc, st *userStat, user subs.IMSI, mmeRec
 	}
 
 	if len(wearRecs) > 0 {
-		joined := mobmetrics.TxSectors(mmeRecs, wearRecs, isWearDev,
-			func(r proxylog.Record) bool { return e.env.Devices.IsWearable(r.IMEI) })
+		joined := mobmetrics.TxSectors(mmeRecs, wearRecs, isWearDev, nil)
 		for _, sectors := range joined {
 			if len(sectors) == 0 {
 				continue
@@ -655,15 +648,18 @@ func (e *engine) addMobility(acc *shardAcc, st *userStat, user subs.IMSI, mmeRec
 }
 
 // addThroughDevice runs the companion-traffic fingerprinting (conclusion)
-// over the user's whole proxy stream.
-func (e *engine) addThroughDevice(acc *shardAcc, st *userStat, recs []proxylog.Record) {
-	if st.wear || len(recs) == 0 {
+// over the user's whole proxy stream, both device halves.
+func (e *engine) addThroughDevice(acc *shardAcc, st *userStat, halves ...[]proxylog.Record) {
+	if st.wear {
 		return // SIM-wearable users are identified directly by TAC
 	}
 	svcTx := make(map[string]int64)
-	for _, rec := range recs {
-		if svc, ok := e.detector.ServiceOfHost(rec.Host); ok {
-			svcTx[svc]++
+	for _, recs := range halves {
+		for _, rec := range recs {
+			if svc, ok := e.detector.ServiceOfHost(rec.Host); ok {
+				svcTx[svc]++
+				acc.tdHours[rec.Time.Hour()]++
+			}
 		}
 	}
 	if len(svcTx) == 0 {
@@ -677,9 +673,4 @@ func (e *engine) addThroughDevice(acc *shardAcc, st *userStat, recs []proxylog.R
 	}
 	st.tdService = best
 	st.tdKinds = svcTx[best]
-	for _, rec := range recs {
-		if _, ok := e.detector.ServiceOfHost(rec.Host); ok {
-			acc.tdHours[rec.Time.Hour()]++
-		}
-	}
 }

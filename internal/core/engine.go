@@ -31,20 +31,29 @@ type Env struct {
 }
 
 // userBundle buffers one subscriber's records until the user completes.
-// Bundles are the only place the engine holds raw records; they are evicted
-// (processed into scalar accumulators and deleted) at UserDone, so a
-// user-major source is analysed in memory proportional to the subscriber
-// population plus one in-flight user — never the log length.
+// Bundles are the only place the engine holds raw records. Proxy records
+// are split by device class as they arrive, so the fold partitions
+// nothing. A folded bundle is reset (lengths to zero, capacity kept) and
+// recycled for a later subscriber, so a user-major source is analysed in
+// memory proportional to the subscriber population plus a fixed number of
+// in-flight bundles — never the log length.
 type userBundle struct {
-	proxy []proxylog.Record
+	user  subs.IMSI
+	si    int               // the user's shard
+	wear  []proxylog.Record // proxy records from SIM-wearable devices
+	phone []proxylog.Record // every other proxy record
 	mme   []mme.Record
 	udr   []udr.Record
 }
 
-// engine is the streaming study: a stream.Sink that routes records to
-// per-subscriber shard buckets and evicts each subscriber into per-shard
-// figure accumulators. Each shard is owned by exactly one worker, so no
-// accumulator is ever shared between goroutines.
+// handoffDepth is each worker channel's capacity in bundles. Two keep a
+// worker busy while the producer fills the next one; deeper queues only
+// hold more records in flight.
+const handoffDepth = 2
+
+// engine is the streaming study. It folds each subscriber's bundle into
+// the accumulator of the user's shard; each shard is owned by exactly one
+// goroutine, so no accumulator is ever shared between goroutines.
 type engine struct {
 	cfg      Config
 	env      Env
@@ -54,7 +63,6 @@ type engine struct {
 
 	nShards int
 	accs    []*shardAcc
-	pending []map[subs.IMSI]*userBundle
 }
 
 func newEngine(env Env, cfg Config) (*engine, error) {
@@ -74,11 +82,9 @@ func newEngine(env Env, cfg Config) (*engine, error) {
 		detector: fingerprint.NewDetector(fingerprint.DefaultSignatures()),
 		nShards:  n,
 		accs:     make([]*shardAcc, n),
-		pending:  make([]map[subs.IMSI]*userBundle, n),
 	}
 	for i := 0; i < n; i++ {
 		e.accs[i] = newShardAcc()
-		e.pending[i] = make(map[subs.IMSI]*userBundle)
 	}
 	return e, nil
 }
@@ -90,222 +96,175 @@ func (e *engine) shardOf(user subs.IMSI) int {
 	return int(shard.Hash64(uint64(user)) % uint64(e.nShards))
 }
 
-func (e *engine) bundle(si int, user subs.IMSI) *userBundle {
-	b := e.pending[si][user]
-	if b == nil {
-		b = &userBundle{}
-		e.pending[si][user] = b
+// fold evicts one completed bundle into its shard's accumulator and
+// recycles it.
+func (e *engine) fold(b *userBundle, free chan *userBundle) {
+	e.addUser(e.accs[b.si], b)
+	b.wear, b.phone, b.mme, b.udr = b.wear[:0], b.phone[:0], b.mme[:0], b.udr[:0]
+	select {
+	case free <- b:
+	default: // free list full: let the collector have it
 	}
+}
+
+// bundler is the engine's stream.Sink, the same at every Workers setting.
+// It enforces the user-major contract, collects each subscriber's records
+// into a bundle on the producer goroutine, and at UserDone hands the whole
+// bundle off: folded inline with one worker, otherwise sent to the worker
+// owning the user's shard (worker w owns shards si % workers == w). A
+// shard's users therefore fold in stream order on one goroutine: the
+// schedule changes with Workers, the per-shard fold order never does.
+type bundler struct {
+	e *engine
+
+	// floor is the lowest IMSI still open: after UserDone(u), a record or
+	// a further UserDone for any IMSI <= u is an error instead of a second
+	// bundle for u. One comparison per record and no per-user state;
+	// record-major sources never call UserDone and never trip it.
+	floor subs.IMSI
+
+	cur  *userBundle               // the bundle the last record went to
+	open map[subs.IMSI]*userBundle // every subscriber with records and no UserDone yet
+	work []chan *userBundle        // per-worker handoff; nil folds inline
+	free chan *userBundle          // folded bundles awaiting reuse
+}
+
+func (s *bundler) check(what string, user subs.IMSI) error {
+	if user < s.floor {
+		return fmt.Errorf("core: stream contract violated: %s for subscriber %d after UserDone(%d)", what, user, s.floor-1)
+	}
+	return nil
+}
+
+// bundle returns the open bundle of a subscriber, taking a recycled one
+// (or a new one) on their first record.
+func (s *bundler) bundle(user subs.IMSI) *userBundle {
+	if s.cur != nil && s.cur.user == user {
+		return s.cur
+	}
+	b := s.open[user]
+	if b == nil {
+		select {
+		case b = <-s.free:
+		default:
+			b = new(userBundle)
+		}
+		b.user, b.si = user, s.e.shardOf(user)
+		s.open[user] = b
+	}
+	s.cur = b
 	return b
 }
 
-// Record handlers. Each runs on the goroutine owning the record's shard.
-
-func (e *engine) proxy(si int, r proxylog.Record) {
-	b := e.bundle(si, r.IMSI)
-	//wearlint:ignore sinkretain per-subscriber bundle is the DESIGN.md §8 bounded buffer, evicted at UserDone
-	b.proxy = append(b.proxy, r)
+func (s *bundler) Proxy(r proxylog.Record) error {
+	if err := s.check("proxy record", r.IMSI); err != nil {
+		return err
+	}
+	b := s.bundle(r.IMSI)
+	half := &b.phone
+	if s.e.env.Devices.IsWearable(r.IMEI) {
+		half = &b.wear
+	}
+	//wearlint:ignore sinkretain per-subscriber bundle is the DESIGN.md §8 bounded buffer, handed off whole at UserDone and recycled after the fold
+	*half = append(*half, r)
+	return nil
 }
 
-func (e *engine) mme(si int, r mme.Record) {
-	b := e.bundle(si, r.IMSI)
-	//wearlint:ignore sinkretain per-subscriber bundle is the DESIGN.md §8 bounded buffer, evicted at UserDone
+func (s *bundler) MME(r mme.Record) error {
+	if err := s.check("MME record", r.IMSI); err != nil {
+		return err
+	}
+	b := s.bundle(r.IMSI)
+	//wearlint:ignore sinkretain per-subscriber bundle is the DESIGN.md §8 bounded buffer, handed off whole at UserDone and recycled after the fold
 	b.mme = append(b.mme, r)
+	return nil
 }
 
-func (e *engine) udr(si int, r udr.Record) {
-	b := e.bundle(si, r.IMSI)
-	//wearlint:ignore sinkretain per-subscriber bundle is the DESIGN.md §8 bounded buffer, evicted at UserDone
+func (s *bundler) UDR(r udr.Record) error {
+	if err := s.check("UDR record", r.IMSI); err != nil {
+		return err
+	}
+	b := s.bundle(r.IMSI)
+	//wearlint:ignore sinkretain per-subscriber bundle is the DESIGN.md §8 bounded buffer, handed off whole at UserDone and recycled after the fold
 	b.udr = append(b.udr, r)
+	return nil
 }
 
-// userDone evicts a completed subscriber: their bundle folds into the
-// shard accumulator and the records are released.
-func (e *engine) userDone(si int, user subs.IMSI) {
-	b := e.pending[si][user]
+func (s *bundler) UserDone(user subs.IMSI) error {
+	if err := s.check("UserDone", user); err != nil {
+		return err
+	}
+	s.floor = user + 1
+	b := s.open[user]
 	if b == nil {
-		return // user had no records
+		return nil // user had no records
 	}
-	e.addUser(e.accs[si], user, b)
-	delete(e.pending[si], user)
-}
-
-// userOrder enforces the stream.Sink user-major contract where records
-// enter the engine, before any routing, so the check is the same at every
-// Workers setting: after UserDone(u), a record or a further UserDone for
-// any IMSI <= u is an error instead of a second bundle for u. floor is the
-// lowest IMSI still open, so the check is one comparison per record and
-// no per-user state. Record-major sources never call UserDone and never
-// trip it.
-type userOrder struct{ floor subs.IMSI }
-
-func (o *userOrder) check(what string, user subs.IMSI) error {
-	if user < o.floor {
-		return fmt.Errorf("core: stream contract violated: %s for subscriber %d after UserDone(%d)", what, user, o.floor-1)
+	delete(s.open, user)
+	if s.cur == b {
+		s.cur = nil
 	}
+	s.dispatch(b)
 	return nil
 }
 
-func (o *userOrder) done(user subs.IMSI) error {
-	if err := o.check("UserDone", user); err != nil {
-		return err
+// dispatch hands a completed bundle to the goroutine owning its shard.
+func (s *bundler) dispatch(b *userBundle) {
+	if s.work == nil {
+		s.e.fold(b, s.free)
+		return
 	}
-	o.floor = user + 1
-	return nil
+	s.work[b.si%len(s.work)] <- b
 }
 
-// directSink feeds the engine synchronously: the Workers <= 1 path.
-type directSink struct {
-	e     *engine
-	order userOrder
-}
-
-func (s *directSink) Proxy(r proxylog.Record) error {
-	if err := s.order.check("proxy record", r.IMSI); err != nil {
-		return err
-	}
-	s.e.proxy(s.e.shardOf(r.IMSI), r)
-	return nil
-}
-
-func (s *directSink) MME(r mme.Record) error {
-	if err := s.order.check("MME record", r.IMSI); err != nil {
-		return err
-	}
-	s.e.mme(s.e.shardOf(r.IMSI), r)
-	return nil
-}
-
-func (s *directSink) UDR(r udr.Record) error {
-	if err := s.order.check("UDR record", r.IMSI); err != nil {
-		return err
-	}
-	s.e.udr(s.e.shardOf(r.IMSI), r)
-	return nil
-}
-
-func (s *directSink) UserDone(user subs.IMSI) error {
-	if err := s.order.done(user); err != nil {
-		return err
-	}
-	s.e.userDone(s.e.shardOf(user), user)
-	return nil
-}
-
-// shardMsg is one routed stream event.
-type shardMsg struct {
-	kind  uint8 // 0 proxy, 1 mme, 2 udr, 3 userDone
-	si    int
-	proxy proxylog.Record
-	mme   mme.Record
-	udr   udr.Record
-	user  subs.IMSI
-}
-
-// fanSink fans the stream out to per-worker channels. Worker w owns shards
-// si with si % workers == w, so each shard's event sequence is processed in
-// emission order by a single goroutine: the schedule changes with Workers,
-// the per-shard accumulation order never does.
-type fanSink struct {
-	e       *engine
-	workers int
-	chans   []chan shardMsg
-	order   userOrder
-}
-
-func (s *fanSink) send(m shardMsg) error {
-	//wearlint:ignore sinkretain bounded worker-channel handoff; the owning shard goroutine folds the record and frees it (DESIGN.md §8)
-	s.chans[m.si%s.workers] <- m
-	return nil
-}
-
-func (s *fanSink) Proxy(r proxylog.Record) error {
-	if err := s.order.check("proxy record", r.IMSI); err != nil {
-		return err
-	}
-	return s.send(shardMsg{kind: 0, si: s.e.shardOf(r.IMSI), proxy: r})
-}
-
-func (s *fanSink) MME(r mme.Record) error {
-	if err := s.order.check("MME record", r.IMSI); err != nil {
-		return err
-	}
-	return s.send(shardMsg{kind: 1, si: s.e.shardOf(r.IMSI), mme: r})
-}
-
-func (s *fanSink) UDR(r udr.Record) error {
-	if err := s.order.check("UDR record", r.IMSI); err != nil {
-		return err
-	}
-	return s.send(shardMsg{kind: 2, si: s.e.shardOf(r.IMSI), udr: r})
-}
-
-func (s *fanSink) UserDone(user subs.IMSI) error {
-	if err := s.order.done(user); err != nil {
-		return err
-	}
-	return s.send(shardMsg{kind: 3, si: s.e.shardOf(user), user: user})
-}
-
-func (e *engine) handle(m shardMsg) {
-	switch m.kind {
-	case 0:
-		e.proxy(m.si, m.proxy)
-	case 1:
-		e.mme(m.si, m.mme)
-	case 2:
-		e.udr(m.si, m.udr)
-	case 3:
-		e.userDone(m.si, m.user)
-	}
-}
-
-// consume drains the source through the engine. With Workers > 1 a
-// producer thread runs the source while workers drain their shard
-// channels; the fan-out changes scheduling only, never results.
+// consume drains the source through the engine. Subscribers a
+// record-major source never closed are dispatched at end of stream in
+// ascending IMSI order, so each shard folds them in the order a
+// user-major source would have emitted them. With Workers > 1 the source
+// runs on the calling goroutine while workers fold their shards; at most
+// 1 + workers × (handoffDepth + 1) bundles of a user-major stream exist
+// at once: the producer's open one, the queued ones and one per worker
+// being folded.
 func (e *engine) consume(src stream.Source) error {
 	w := shard.Workers(e.cfg.Workers)
 	if w > e.nShards {
 		w = e.nShards
 	}
-	if w <= 1 {
-		return src.Stream(&directSink{e: e})
-	}
-	sink := &fanSink{e: e, workers: w, chans: make([]chan shardMsg, w)}
+	// The free list has room for every bundle the handoff can hold; inline
+	// folds only ever use one.
+	free := make(chan *userBundle, w*(handoffDepth+1))
+	s := &bundler{e: e, open: make(map[subs.IMSI]*userBundle), free: free}
 	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		sink.chans[i] = make(chan shardMsg, 512)
-		wg.Add(1)
-		go func(ch chan shardMsg) {
-			defer wg.Done()
-			for m := range ch {
-				e.handle(m)
-			}
-		}(sink.chans[i])
+	if w > 1 {
+		s.work = make([]chan *userBundle, w)
+		for i := range s.work {
+			ch := make(chan *userBundle, handoffDepth)
+			s.work[i] = ch
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for b := range ch {
+					e.fold(b, free)
+				}
+			}()
+		}
 	}
-	err := src.Stream(sink)
-	for _, ch := range sink.chans {
+	err := src.Stream(s)
+	if err == nil {
+		for _, user := range sortx.Keys(s.open) {
+			b := s.open[user]
+			delete(s.open, user)
+			s.dispatch(b)
+		}
+	}
+	for _, ch := range s.work {
 		close(ch)
 	}
 	wg.Wait()
 	return err
 }
 
-// seal evicts every subscriber still pending after the stream ends — the
-// whole population for record-major sources, nobody for user-major ones.
-// Leftovers are folded in ascending IMSI order per shard, matching what a
-// user-major source would have emitted; shards seal in parallel.
-func (e *engine) seal() {
-	shard.Run(e.nShards, shard.Workers(e.cfg.Workers), func(si int) {
-		for _, user := range sortx.Keys(e.pending[si]) {
-			e.addUser(e.accs[si], user, e.pending[si][user])
-			delete(e.pending[si], user)
-		}
-	})
-}
-
-// run drains the source, seals, merges the shard partials in fixed shard
-// order and finalises the Results.
+// run drains the source, merges the shard partials in fixed shard order
+// and finalises the Results.
 func (e *engine) run(src stream.Source) (*Results, error) {
 	if src == nil {
 		return nil, fmt.Errorf("core: nil record source")
@@ -313,7 +272,6 @@ func (e *engine) run(src stream.Source) (*Results, error) {
 	if err := e.consume(src); err != nil {
 		return nil, err
 	}
-	e.seal()
 	// The per-subscriber residues never union: finalize reaches them in
 	// their per-shard maps through the shard hash. Everything else in a
 	// shardAcc is domain-sized; each partial is released as it folds in,

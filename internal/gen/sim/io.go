@@ -9,6 +9,7 @@ import (
 	"wearwild/internal/mnet/mme"
 	"wearwild/internal/mnet/proxylog"
 	"wearwild/internal/mnet/udr"
+	"wearwild/internal/shard"
 )
 
 // Dataset directory layout. The proxy log uses the compact binary codec;
@@ -34,14 +35,23 @@ func (ds *Dataset) Save(dir string) error {
 	if err := os.WriteFile(filepath.Join(dir, metaFile), meta, 0o644); err != nil {
 		return err
 	}
-	if err := mme.WriteFile(filepath.Join(dir, mmeFile), ds.MME.Records); err != nil {
-		return fmt.Errorf("sim: writing MME log: %w", err)
-	}
-	if err := proxylog.WriteFile(filepath.Join(dir, proxyFile), ds.Proxy.Records); err != nil {
-		return fmt.Errorf("sim: writing proxy log: %w", err)
-	}
-	if err := udr.WriteFile(filepath.Join(dir, udrFile), ds.UDR.Records); err != nil {
-		return fmt.Errorf("sim: writing UDR log: %w", err)
+	// The three logs are independent files, so they are written side by
+	// side; errors are reported in the fixed MME, proxy, UDR order.
+	var errs [3]error
+	shard.Run(3, shard.Workers(ds.Config.Workers), func(i int) {
+		switch i {
+		case 0:
+			errs[i] = mme.WriteFile(filepath.Join(dir, mmeFile), ds.MME.Records)
+		case 1:
+			errs[i] = proxylog.WriteFile(filepath.Join(dir, proxyFile), ds.Proxy.Records)
+		case 2:
+			errs[i] = udr.WriteFile(filepath.Join(dir, udrFile), ds.UDR.Records)
+		}
+	})
+	for i, what := range [3]string{"MME", "proxy", "UDR"} {
+		if errs[i] != nil {
+			return fmt.Errorf("sim: writing %s log: %w", what, errs[i])
+		}
 	}
 	return nil
 }

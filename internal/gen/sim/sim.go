@@ -378,6 +378,8 @@ func (ds *Dataset) mergeRuns(parts [][]int, runs [][]userOutput, n int) {
 			mmeRuns[ui], proxyRuns[ui], udrRuns[ui] = out.mme, out.proxy, out.udr
 		}
 	}
+	// One merge at a time: each log's runs die when its merge returns, so
+	// side-by-side merges would hold every run until the last one ends.
 	ds.MME.Records = mergeUserRuns(mmeRuns, mmeTimeCmp)
 	ds.Proxy.Records = mergeUserRuns(proxyRuns, proxyTimeCmp)
 	ds.UDR.Records = mergeUserRuns(udrRuns, udrKeyCmp)

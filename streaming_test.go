@@ -10,6 +10,7 @@ import (
 
 	"wearwild/internal/core"
 	"wearwild/internal/gen/sim"
+	"wearwild/internal/stream"
 )
 
 // metricValues flattens an evaluation into "experiment/metric" → measured
@@ -103,6 +104,91 @@ func TestGeneratorStreamEquivalence(t *testing.T) {
 		lo := max(i-80, 0)
 		hi := min(i+80, len(raw))
 		t.Errorf("generator stream diverges from resident dataset at byte %d: …%s…", i, raw[lo:hi])
+	}
+}
+
+// fileOrderSource is a record-major source: it replays resident logs in
+// file (time) order, reading the three files in lockstep, so subscribers
+// and feeds interleave, and it never calls UserDone — the shape a decoder
+// streaming a saved dataset would have.
+type fileOrderSource struct{ ds *Dataset }
+
+func (s fileOrderSource) Stream(sink stream.Sink) error {
+	px, mm, ud := s.ds.Proxy.Records, s.ds.MME.Records, s.ds.UDR.Records
+	for i := 0; i < max(len(px), len(mm), len(ud)); i++ {
+		if i < len(px) {
+			if err := sink.Proxy(px[i]); err != nil {
+				return err
+			}
+		}
+		if i < len(mm) {
+			if err := sink.MME(mm[i]); err != nil {
+				return err
+			}
+		}
+		if i < len(ud) {
+			if err := sink.UDR(ud[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// TestRecordMajorEquivalence pins the end-of-stream fold: a record-major
+// source leaves every subscriber open until Stream returns, and the
+// engine must then fold them into exactly the Results the user-major
+// resident-log source produces, byte for byte, at every Workers setting.
+func TestRecordMajorEquivalence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a full small dataset")
+	}
+	ds := eqDataset(t)
+	_, refJSON := runWith(t, ds, 1, 0)
+	env := core.Env{Devices: ds.Devices, Topology: ds.Topology, Catalog: ds.Catalog}
+	for _, workers := range []int{1, 2, 8} {
+		cfg := core.DefaultConfig()
+		cfg.Workers = workers
+		res, err := core.RunStream(env, fileOrderSource{ds}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != string(refJSON) {
+			t.Errorf("workers=%d: record-major Results differ from the user-major run", workers)
+		}
+	}
+}
+
+// studyAllocBudget is 1.1× the bytes one Workers=1 study of the shared
+// SmallConfig(42) dataset allocated when the engine was last tuned.
+// Allocation is nearly deterministic, so the budget guards the engine's
+// memory traffic without timing noise.
+const studyAllocBudget = 1.1 * 111827320
+
+// TestStudyAllocBudget fails when one Workers=1 study allocates more than
+// studyAllocBudget bytes.
+func TestStudyAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a full small dataset")
+	}
+	ds := eqDataset(t)
+	var before, after runtime.MemStats
+	cfg := core.DefaultConfig()
+	cfg.Workers = 1
+	runtime.ReadMemStats(&before)
+	_, err := RunStudyWith(ds, cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("study allocated %d bytes (budget %.0f)", got, studyAllocBudget)
+	if float64(got) > studyAllocBudget {
+		t.Errorf("study allocated %d bytes, over the %.0f-byte budget", got, studyAllocBudget)
 	}
 }
 
